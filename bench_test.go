@@ -11,6 +11,7 @@
 package roload_test
 
 import (
+	"context"
 	"testing"
 
 	"roload/internal/asm"
@@ -147,7 +148,7 @@ func BenchmarkSecurityMatrix(b *testing.B) {
 	var results []attack.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = attack.Matrix()
+		results, err = attack.MatrixContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,6 +164,16 @@ func BenchmarkSecurityMatrix(b *testing.B) {
 	}
 	b.ReportMetric(hijacked, "hijacks")
 	b.ReportMetric(roblocked, "roload_blocks")
+}
+
+// measure builds src with scheme h and runs it unbounded on the full
+// system.
+func measure(src string, h core.Hardening) (core.Measurement, error) {
+	img, _, err := core.Build(src, h)
+	if err != nil {
+		return core.Measurement{}, err
+	}
+	return core.MeasureImage(context.Background(), img, h, core.SysFull, core.RunOptions{})
 }
 
 // manyHierarchySource generates a vcall-heavy program with n
@@ -203,11 +214,11 @@ func BenchmarkAblationKeyUnification(b *testing.B) {
 	src := manyHierarchySource(48, 200)
 	var perClass, unified uint64
 	for i := 0; i < b.N; i++ {
-		mc, err := core.Measure(src, core.HardenVCall, core.SysFull, 0)
+		mc, err := measure(src, core.HardenVCall)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mu, err := core.Measure(src, core.HardenICall, core.SysFull, 0)
+		mu, err := measure(src, core.HardenICall)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,11 +325,11 @@ func BenchmarkExtensionRetGuard(b *testing.B) {
 		for _, name := range names {
 			w, _ := spec.ByName(name)
 			src := w.TestSource()
-			base, err := core.Measure(src, core.HardenNone, core.SysFull, 0)
+			base, err := measure(src, core.HardenNone)
 			if err != nil {
 				b.Fatal(err)
 			}
-			m, err := core.Measure(src, core.HardenRetGuard, core.SysFull, 0)
+			m, err := measure(src, core.HardenRetGuard)
 			if err != nil {
 				b.Fatal(err)
 			}

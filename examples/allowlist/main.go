@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -109,7 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := core.Run(img, core.SysFull, 1_000_000)
+	res, _, err := core.RunWith(context.Background(), img, core.SysFull, core.RunOptions{MaxSteps: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func main() {
 	// The same binary on the processor-only system shows why kernel
 	// support matters: mprotect silently drops the key there, so even
 	// the LEGITIMATE ld.ro faults.
-	res2, _, err := core.Run(img, core.SysProcessorOnly, 1_000_000)
+	res2, _, err := core.RunWith(context.Background(), img, core.SysProcessorOnly, core.RunOptions{MaxSteps: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}

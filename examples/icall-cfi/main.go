@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 	for _, c := range cases {
 		fmt.Println(c.title)
 		for _, h := range schemes {
-			res, err := c.scenario.Mount(h)
+			res, err := c.scenario.MountContext(context.Background(), h)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -116,12 +117,12 @@ func main() {
 	}
 
 	fmt.Println("\nruntime cost of each defense on the benign workload:")
-	base, err := core.Measure(victimBenign, core.HardenNone, core.SysFull, 0)
+	base, err := measureBenign(core.HardenNone)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, h := range []core.Hardening{core.HardenVTint, core.HardenVCall} {
-		m, err := core.Measure(victimBenign, h, core.SysFull, 0)
+		m, err := measureBenign(h)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -170,7 +171,17 @@ func main() int {
 
 func mountSceneAttack(h core.Hardening) (attack.Result, error) {
 	sc := sceneScenario()
-	return sc.Mount(h)
+	return sc.MountContext(context.Background(), h)
+}
+
+// measureBenign builds the benign renderer under h and measures it on
+// the fully modified system.
+func measureBenign(h core.Hardening) (core.Measurement, error) {
+	img, _, err := core.Build(victimBenign, h)
+	if err != nil {
+		return core.Measurement{}, err
+	}
+	return core.MeasureImage(context.Background(), img, h, core.SysFull, core.RunOptions{})
 }
 
 func schemeName(h core.Hardening) string {

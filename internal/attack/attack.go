@@ -120,18 +120,10 @@ func (s *Scenario) Covers(h core.Hardening) bool {
 	return false
 }
 
-// Mount builds the victim with scheme h, runs it on the fully modified
-// system, fires the corruption at the attack point, and classifies the
-// outcome.
-//
-// Deprecated: Mount is the pre-context entry point, kept one PR so
-// callers migrate incrementally; use MountContext.
-func (s *Scenario) Mount(h core.Hardening) (Result, error) {
-	return s.MountContext(context.Background(), h)
-}
-
-// MountContext is Mount under a context: a cancelled ctx stops the
-// victim mid-run and returns the kernel's *kernel.CanceledError.
+// MountContext builds the victim with scheme h, runs it on the fully
+// modified system, fires the corruption at the attack point, and
+// classifies the outcome. A cancelled ctx stops the victim mid-run and
+// returns the kernel's *kernel.CanceledError.
 func (s *Scenario) MountContext(ctx context.Context, h core.Hardening) (Result, error) {
 	unit, err := cc.Compile(s.Victim)
 	if err != nil {

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func mount(t *testing.T, sc *Scenario, h core.Hardening) Result {
 	t.Helper()
-	r, err := sc.Mount(h)
+	r, err := sc.MountContext(context.Background(), h)
 	if err != nil {
 		t.Fatalf("%s under %v: %v", sc.Name, h, err)
 	}
@@ -151,7 +152,7 @@ func TestCoverageContract(t *testing.T) {
 // Every scenario must produce a definite classification under every
 // scheme without harness errors.
 func TestMatrixRuns(t *testing.T) {
-	results, err := Matrix()
+	results, err := MatrixContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

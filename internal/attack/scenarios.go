@@ -415,23 +415,15 @@ func AllScenarios() []*Scenario {
 	}
 }
 
-// MatrixSchemes are the hardening schemes exercised by Matrix.
+// MatrixSchemes are the hardening schemes exercised by MatrixContext.
 var MatrixSchemes = []core.Hardening{
 	core.HardenNone, core.HardenVCall, core.HardenVTint,
 	core.HardenICall, core.HardenCFI, core.HardenRetGuard,
 }
 
-// Matrix runs every scenario under every hardening scheme and returns
-// the results in a stable order.
-//
-// Deprecated: Matrix is the pre-context entry point, kept one PR so
-// callers migrate incrementally; use MatrixContext.
-func Matrix() ([]Result, error) {
-	return MatrixContext(context.Background())
-}
-
-// MatrixContext is Matrix under a context; cancellation aborts the
-// sweep at the next scenario boundary or mid-run.
+// MatrixContext runs every scenario under every hardening scheme and
+// returns the results in a stable order; cancellation aborts the sweep
+// at the next scenario boundary or mid-run.
 func MatrixContext(ctx context.Context) ([]Result, error) {
 	var out []Result
 	for _, sc := range AllScenarios() {

@@ -143,15 +143,6 @@ func Build(src string, h Hardening) (*asm.Image, *cc.Unit, error) {
 	return img, unit, nil
 }
 
-// Run executes an image on the selected system. maxSteps of 0 means
-// effectively unbounded.
-//
-// Deprecated: Run is the pre-context entry point, kept one PR so
-// callers migrate incrementally; use RunWith.
-func Run(img *asm.Image, sys SystemKind, maxSteps uint64) (kernel.RunResult, *kernel.Process, error) {
-	return RunWith(context.Background(), img, sys, RunOptions{MaxSteps: maxSteps})
-}
-
 // RunOptions is the single options path of the execution API,
 // parameterizing RunWith and MeasureImage beyond the system kind.
 type RunOptions struct {
@@ -349,18 +340,6 @@ type Measurement struct {
 	// the basis of the figures' memory-overhead series).
 	ImageBytes uint64
 	CodeBytes  uint64
-}
-
-// Measure builds src with scheme h and runs it on sys.
-//
-// Deprecated: Measure is the pre-context entry point, kept one PR so
-// callers migrate incrementally; use Build + MeasureImage.
-func Measure(src string, h Hardening, sys SystemKind, maxSteps uint64) (Measurement, error) {
-	img, _, err := Build(src, h)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return MeasureImage(context.Background(), img, h, sys, RunOptions{MaxSteps: maxSteps})
 }
 
 // MeasureImage runs a prebuilt image on sys and packages the

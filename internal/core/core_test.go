@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"roload/internal/asm"
@@ -28,7 +29,7 @@ func TestBuildAndRunAllSchemes(t *testing.T) {
 		if h != HardenNone && len(unit.HardenedBy) == 0 {
 			t.Errorf("%v: pass not recorded", h)
 		}
-		res, _, err := Run(img, SysFull, 10_000_000)
+		res, _, err := RunWith(context.Background(), img, SysFull, RunOptions{MaxSteps: 10_000_000})
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
@@ -85,11 +86,11 @@ func TestHardeningProperties(t *testing.T) {
 }
 
 func TestMeasureAndOverhead(t *testing.T) {
-	base, err := Measure(prog, HardenNone, SysFull, 10_000_000)
+	base, err := measure(prog, HardenNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Measure(prog, HardenVTint, SysFull, 10_000_000)
+	m, err := measure(prog, HardenVTint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCompressedHardenedExecution(t *testing.T) {
 	if img.CodeSize() >= plain.CodeSize() {
 		t.Errorf("compressed code %d >= plain %d", img.CodeSize(), plain.CodeSize())
 	}
-	res, _, err := Run(img, SysFull, 10_000_000)
+	res, _, err := RunWith(context.Background(), img, SysFull, RunOptions{MaxSteps: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestSoftwareSchemesRunOnBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := Run(img, SysBaseline, 10_000_000)
+		res, _, err := RunWith(context.Background(), img, SysBaseline, RunOptions{MaxSteps: 10_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestROLoadSchemesFailOnBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := Run(img, SysBaseline, 10_000_000)
+		res, _, err := RunWith(context.Background(), img, SysBaseline, RunOptions{MaxSteps: 10_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,4 +172,13 @@ func TestROLoadSchemesFailOnBaseline(t *testing.T) {
 			t.Errorf("%v on baseline hardware: %+v, want SIGILL", h, res)
 		}
 	}
+}
+
+// measure builds src with scheme h and runs it on the full system.
+func measure(src string, h Hardening) (Measurement, error) {
+	img, _, err := Build(src, h)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return MeasureImage(context.Background(), img, h, SysFull, RunOptions{MaxSteps: 10_000_000})
 }

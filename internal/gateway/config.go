@@ -19,7 +19,7 @@
 // retried after a backend died mid-run, or routed around a degraded
 // backend. Execution is deterministic, so re-running a spec on the
 // failover backend reproduces the exact bytes; the gateway-level
-// idempotency pin (idem.go) bounds re-execution to requests that
+// idempotency pin (internal/retain) bounds re-execution to requests that
 // never received a conclusive response.
 package gateway
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"roload/internal/client"
+	"roload/internal/retain"
 	"roload/internal/schema"
 	"roload/internal/telemetry"
 )
@@ -33,11 +34,13 @@ type Gateway struct {
 	// (no per-request timeout: streams outlive any attempt budget).
 	sseClient *http.Client
 
-	idem *pinCache
+	idem *retain.Idempotency
 	// runs maps run id → owning backend; digests maps image digest →
-	// the backend that stored it. Both are affinity hints, bounded FIFO.
-	runs    *boundedMap
-	digests *boundedMap
+	// the backend that stored it. Both are affinity hints, bounded FIFO:
+	// eviction only loses affinity, never correctness — an evicted entry
+	// degrades to ring-order search.
+	runs    *retain.FIFO[string, string]
+	digests *retain.FIFO[string, string]
 	mirror  *mirror
 
 	baseCtx   context.Context
@@ -70,6 +73,9 @@ type Gateway struct {
 	replReadRepairs atomic.Uint64
 }
 
+// affinityCap bounds each of the run→backend and digest→backend maps.
+const affinityCap = 4096
+
 type endpointCounters struct {
 	requests, ok, errors4x, errors5x, timeouts atomic.Uint64
 }
@@ -91,9 +97,9 @@ func New(cfg Config) (*Gateway, error) {
 		sseClient: &http.Client{
 			Transport: cfg.Transport,
 		},
-		idem:      newPinCache(0),
-		runs:      newBoundedMap(0),
-		digests:   newBoundedMap(0),
+		idem:      retain.NewIdempotency(),
+		runs:      retain.NewFIFO[string, string](affinityCap),
+		digests:   retain.NewFIFO[string, string](affinityCap),
 		baseCtx:   base,
 		cancel:    cancel,
 		probeDone: make(chan struct{}),
@@ -133,12 +139,12 @@ func New(cfg Config) (*Gateway, error) {
 // surface plus the gateway's own /healthz and /metrics.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", g.logged("run", g.idem.wrap(g.handleRun("/v1/run"))))
-	mux.HandleFunc("POST /v1/runs", g.logged("runs", g.idem.wrap(g.handleRun("/v1/runs"))))
+	mux.HandleFunc("POST /v1/run", g.logged("run", g.idem.Wrap(g.handleRun("/v1/run"))))
+	mux.HandleFunc("POST /v1/runs", g.logged("runs", g.idem.Wrap(g.handleRun("/v1/runs"))))
 	mux.HandleFunc("GET /v1/runs/{id}", g.logged("run-result", g.handleRunGet))
-	mux.HandleFunc("POST /v1/batch", g.logged("batch", g.idem.wrap(g.handleBatch)))
-	mux.HandleFunc("POST /v1/images", g.logged("images", g.idem.wrap(g.handleImagePut)))
-	mux.HandleFunc("GET /v1/images/{digest}", g.logged("image", g.handleImageGet))
+	mux.HandleFunc("POST /v1/batch", g.logged("batch", g.idem.Wrap(g.handleBatch)))
+	mux.HandleFunc("POST /v1/images", g.logged("images", g.idem.Wrap(g.handleImagePut)))
+	mux.HandleFunc("GET /v1/images/{digest}", g.logged("image", imageKind(g.handleStoreGet)))
 	mux.HandleFunc("GET /v1/store/{kind}/{digest}", g.logged("store-get", g.handleStoreGet))
 	mux.HandleFunc("PUT /v1/store/{kind}/{digest}", g.logged("store-put", g.handleStorePut))
 	mux.HandleFunc("GET /v1/runs/{id}/events", g.logged("events", g.handleEvents))
@@ -224,7 +230,7 @@ func (g *Gateway) handleRun(path string) http.HandlerFunc {
 		key := shardKey(req.ImageDigest, req.Source, req.Asm, req.Harden, req.Optimize)
 		affinity := ""
 		if req.ImageDigest != "" {
-			affinity, _ = g.digests.get(req.ImageDigest)
+			affinity, _ = g.digests.Get(req.ImageDigest)
 		}
 		g.proxy(w, r, key, proxyOp{
 			endpoint: "run",
@@ -269,7 +275,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	key := shardKey(req.ImageDigest, req.Source, req.Asm, req.Harden, req.Optimize)
 	affinity := ""
 	if req.ImageDigest != "" {
-		affinity, _ = g.digests.get(req.ImageDigest)
+		affinity, _ = g.digests.Get(req.ImageDigest)
 	}
 	g.proxy(w, r, key, proxyOp{
 		endpoint:      "batch",
@@ -315,23 +321,9 @@ func (g *Gateway) handleImagePut(w http.ResponseWriter, r *http.Request) {
 			var env schema.Envelope
 			var img schema.ImageResponse
 			if json.Unmarshal(reply.Body, &env) == nil && env.Open(schema.ServeV1, &img) == nil && img.Digest != "" {
-				g.digests.put(img.Digest, backend)
+				g.digests.Put(img.Digest, backend)
 			}
 		},
-	})
-}
-
-// handleImageGet proxies GET /v1/images/{digest}, digest-routed with
-// 404 falling through to the next backend.
-func (g *Gateway) handleImageGet(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	affinity, _ := g.digests.get(digest)
-	g.proxy(w, r, digest, proxyOp{
-		endpoint:      "image",
-		method:        http.MethodGet,
-		path:          "/v1/images/" + digest,
-		affinity:      affinity,
-		retryNotFound: true,
 	})
 }
 
@@ -339,10 +331,11 @@ func (g *Gateway) handleImageGet(w http.ResponseWriter, r *http.Request) {
 // with 404 fall-through. When the artifact is found only after one or
 // more backends answered 404, the replica-set members that missed are
 // read-repaired from the reply — the anti-entropy half of the
-// replication contract.
+// replication contract. It also serves GET /v1/images/{digest}, through
+// imageKind.
 func (g *Gateway) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	kind, digest := r.PathValue("kind"), r.PathValue("digest")
-	affinity, _ := g.digests.get(digest)
+	affinity, _ := g.digests.Get(digest)
 	g.proxy(w, r, digest, proxyOp{
 		endpoint:      "store-get",
 		method:        http.MethodGet,
@@ -363,6 +356,15 @@ func (g *Gateway) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 				body: reply.Body, targets: targets, repair: true})
 		},
 	})
+}
+
+// imageKind fixes a store route's {kind} to roload-image: the
+// GET /v1/images/{digest} alias is the store GET of that kind.
+func imageKind(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.SetPathValue("kind", schema.KindName(schema.ImageV1))
+		h(w, r)
+	}
 }
 
 // handleStorePut proxies PUT /v1/store/{kind}/{digest} to the digest's
@@ -387,7 +389,7 @@ func (g *Gateway) handleStorePut(w http.ResponseWriter, r *http.Request) {
 			if reply.Status >= 300 {
 				return
 			}
-			g.digests.put(digest, backend)
+			g.digests.Put(digest, backend)
 			var rest []string
 			for _, t := range g.replicaTargets(digest) {
 				if t != backend {
@@ -404,7 +406,7 @@ func (g *Gateway) handleStorePut(w http.ResponseWriter, r *http.Request) {
 // ring order with 404 fall-through (the run may have re-homed).
 func (g *Gateway) handleRunGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	affinity, _ := g.runs.get(id)
+	affinity, _ := g.runs.Get(id)
 	g.proxy(w, r, id, proxyOp{
 		endpoint:      "run-result",
 		method:        http.MethodGet,
@@ -417,7 +419,7 @@ func (g *Gateway) handleRunGet(w http.ResponseWriter, r *http.Request) {
 // handleTrace proxies GET /v1/runs/{id}/trace like handleRunGet.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	affinity, _ := g.runs.get(id)
+	affinity, _ := g.runs.Get(id)
 	g.proxy(w, r, id, proxyOp{
 		endpoint:      "trace",
 		method:        http.MethodGet,
@@ -479,7 +481,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Retries:     g.retries.Load(),
 		Failovers:   g.failovers.Load(),
 		NoBackend:   g.noBackend.Load(),
-		Idempotency: g.idem.metrics(),
+		Idempotency: g.idem.Metrics(),
 		Mirror:      g.mirror.snapshot(),
 		Replication: schema.GatewayReplication{
 			Replicas:    g.cfg.Replicas,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"roload/internal/retain"
 	"roload/internal/schema"
 	"roload/internal/service"
 )
@@ -307,6 +308,36 @@ func TestGatewayIdempotencyPin(t *testing.T) {
 	}
 }
 
+// TestGatewayRunsLocation: POST /v1/runs through the gateway forwards
+// the backend's Location, and a GET of it through the gateway serves
+// the creation's body byte-identically.
+func TestGatewayRunsLocation(t *testing.T) {
+	b1 := newBackend(t, service.Config{Workers: 2})
+	b2 := newBackend(t, service.Config{Workers: 2})
+	_, ts, _ := newTestGateway(t, Config{Backends: []string{b1.URL, b2.URL}})
+
+	status, hdr, created := postRaw(t, ts.URL+"/v1/runs", mustRunBody(t), nil)
+	if status != http.StatusCreated {
+		t.Fatalf("create status = %d: %s", status, created)
+	}
+	runID, loc := hdr.Get("Roload-Trace"), hdr.Get("Location")
+	if runID == "" || loc != "/v1/runs/"+runID {
+		t.Fatalf("Location = %q, want /v1/runs/{id} for run %q", loc, runID)
+	}
+	resp, err := http.Get(ts.URL + loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s status = %d: %s", loc, resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, created) {
+		t.Errorf("GET %s diverges from the creation body:\n%s\nvs\n%s", loc, got, created)
+	}
+}
+
 // TestGatewayImageRouting: an image stored through the gateway is
 // retrievable through the gateway even when the ring routes the read
 // to a backend that never saw it (404 fall-through), and run-by-digest
@@ -335,7 +366,7 @@ func TestGatewayImageRouting(t *testing.T) {
 
 	// Drop the digest affinity so the GET must find the image by ring
 	// order and 404 fall-through alone.
-	g.digests = newBoundedMap(0)
+	g.digests = retain.NewFIFO[string, string](affinityCap)
 	resp, err := http.Get(ts.URL + "/v1/images/" + img.Digest)
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +476,7 @@ func TestGatewaySSEFailover(t *testing.T) {
 	})
 
 	g, ts, tr := newTestGateway(t, Config{Backends: []string{a.URL, b.URL}})
-	g.runs.put(runID, a.URL)
+	g.runs.Put(runID, a.URL)
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -477,7 +508,7 @@ func TestGatewaySSEFailover(t *testing.T) {
 		got = append(got, ev)
 		if len(got) == 2 {
 			// The first owner is dead; the failover loop re-homed the run.
-			g.runs.put(runID, b.URL)
+			g.runs.Put(runID, b.URL)
 		}
 		if ev.Kind == schema.EventResult {
 			break

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"roload/internal/client"
@@ -41,43 +40,6 @@ func shardKey(imageDigest, source string, asm bool, harden string, optimize bool
 		hash.Write([]byte{1})
 	}
 	return hex.EncodeToString(hash.Sum(nil))
-}
-
-// boundedMap is a FIFO-bounded string map: the run→backend and
-// digest→backend affinity stores. Eviction only loses affinity, never
-// correctness — an evicted entry degrades to ring-order search.
-type boundedMap struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]string
-	order []string
-}
-
-func newBoundedMap(cap int) *boundedMap {
-	if cap <= 0 {
-		cap = 4096
-	}
-	return &boundedMap{cap: cap, m: make(map[string]string)}
-}
-
-func (b *boundedMap) put(key, val string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.m[key]; !ok {
-		b.order = append(b.order, key)
-		for len(b.order) > b.cap {
-			delete(b.m, b.order[0])
-			b.order = b.order[1:]
-		}
-	}
-	b.m[key] = val
-}
-
-func (b *boundedMap) get(key string) (string, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.m[key]
-	return v, ok
 }
 
 // proxyOp describes one proxied exchange.
@@ -157,7 +119,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, op p
 		}
 		tried++
 		if op.runID != "" {
-			g.runs.put(op.runID, backend)
+			g.runs.Put(op.runID, backend)
 		}
 		ctx := r.Context()
 		if peers := peersExcluding(op.storePeers, backend); peers != "" {
@@ -205,7 +167,8 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, op p
 		// Some backends answered 404 but at least one failed outright:
 		// the resource may live on the unreachable backend, so the 404
 		// is not conclusive (and, being retryable, a 503 is never pinned
-		// by idem.go). Ask the client to retry once the fleet recovers.
+		// by the idempotency layer). Ask the client to retry once the
+		// fleet recovers.
 		g.cfg.Logger.Error("gateway: inconclusive 404",
 			"endpoint", op.endpoint, "tried", tried, "err", lastErr)
 		gwError(w, http.StatusServiceUnavailable, "no_backend",
@@ -237,7 +200,7 @@ func (g *Gateway) noteProxyError(backend string, err error) {
 // sees as an error.
 func (g *Gateway) writeReply(w http.ResponseWriter, backend string, tried int, reply *client.Reply) {
 	h := w.Header()
-	for _, k := range []string{"Content-Type", "Retry-After", "Idempotency-Replayed", "Roload-Trace"} {
+	for _, k := range []string{"Content-Type", "Location", "Retry-After", "Idempotency-Replayed", "Roload-Trace"} {
 		if v := reply.Header.Get(k); v != "" {
 			h.Set(k, v)
 		}

@@ -153,57 +153,94 @@ func TestGatewayStorePutReplication(t *testing.T) {
 // TestGatewayReadRepair: an artifact that lives only on a non-owner
 // backend is still served through the gateway (404 fall-through), and
 // the read repairs the owner — the replica set converges back to R
-// copies without any write traffic.
+// copies without any write traffic. The GET /v1/images/{digest} alias
+// takes the same path for images.
 func TestGatewayReadRepair(t *testing.T) {
-	g, ts, _ := storedFleet(t)
+	batch := []byte(`{"schema":"roload-batch/v1","batch_id":"repair-test","runs":[]}`)
+	sum := sha256.Sum256(batch)
+	image, imageDigest := mintImage(t)
+	for _, tc := range []struct {
+		name, kind, path, digest string
+		body                     []byte
+	}{
+		{"store", "roload-batch", "/v1/store/roload-batch/", hex.EncodeToString(sum[:]), batch},
+		{"image alias", "roload-image", "/v1/images/", imageDigest, image},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ts, _ := storedFleet(t)
+			targets := g.replicaTargets(tc.digest)
+			owner, holder := targets[0], targets[1]
 
-	body := []byte(`{"schema":"roload-batch/v1","batch_id":"repair-test","runs":[]}`)
-	sum := sha256.Sum256(body)
-	digest := hex.EncodeToString(sum[:])
-	targets := g.replicaTargets(digest)
-	owner, holder := targets[0], targets[1]
+			// Seed only the successor, behind the gateway's back.
+			req, err := http.NewRequest(http.MethodPut,
+				holder+"/v1/store/"+tc.kind+"/"+tc.digest, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("seed put status = %d", resp.StatusCode)
+			}
 
-	// Seed only the successor, behind the gateway's back.
-	req, err := http.NewRequest(http.MethodPut,
-		holder+"/v1/store/roload-batch/"+digest, bytes.NewReader(body))
+			// The gateway GET falls through the owner's 404 to the holder
+			// and serves the exact bytes.
+			gresp, err := http.Get(ts.URL + tc.path + tc.digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(gresp.Body)
+			gresp.Body.Close()
+			if gresp.StatusCode != http.StatusOK {
+				t.Fatalf("gateway GET %s status = %d", tc.path, gresp.StatusCode)
+			}
+			if !bytes.Equal(got, tc.body) {
+				t.Errorf("gateway served %q, want the seeded bytes", got)
+			}
+
+			// The miss triggered read-repair: the owner converges to a copy.
+			waitHolds(t, owner, tc.kind, tc.digest)
+
+			var metrics schema.GatewayMetrics
+			if status := getJSON(t, ts.URL+"/metrics", &metrics); status != http.StatusOK {
+				t.Fatalf("metrics status = %d", status)
+			}
+			if metrics.Replication.ReadRepairs == 0 {
+				t.Errorf("read_repairs = 0 after a repaired read")
+			}
+		})
+	}
+}
+
+// mintImage compiles runProg into a stored image on a backend outside
+// any fleet and returns the image's bytes and digest.
+func mintImage(t *testing.T) ([]byte, string) {
+	t.Helper()
+	b := newBackend(t, service.Config{Workers: 1, StoreDir: t.TempDir()})
+	body, err := json.Marshal(schema.ImageRequest{Source: runProg, Harden: "icall"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	status, _, data := postRaw(t, b.URL+"/v1/images", body, nil)
+	var env schema.Envelope
+	var img schema.ImageResponse
+	if status != http.StatusCreated || json.Unmarshal(data, &env) != nil || env.Open(schema.ServeV1, &img) != nil {
+		t.Fatalf("image put status = %d: %s", status, data)
+	}
+	resp, err := http.Get(b.URL + "/v1/store/roload-image/" + img.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("seed put status = %d", resp.StatusCode)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("image get status = %d: %v", resp.StatusCode, err)
 	}
-
-	// The gateway GET falls through the owner's 404 to the holder and
-	// serves the exact bytes.
-	gresp, err := http.Get(ts.URL + "/v1/store/roload-batch/" + digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(gresp.Body)
-	gresp.Body.Close()
-	if gresp.StatusCode != http.StatusOK {
-		t.Fatalf("gateway store get status = %d", gresp.StatusCode)
-	}
-	if !bytes.Equal(got, body) {
-		t.Errorf("gateway served %q, want the seeded bytes", got)
-	}
-
-	// The miss triggered read-repair: the owner converges to a copy.
-	waitHolds(t, owner, "roload-batch", digest)
-
-	var metrics schema.GatewayMetrics
-	if status := getJSON(t, ts.URL+"/metrics", &metrics); status != http.StatusOK {
-		t.Fatalf("metrics status = %d", status)
-	}
-	if metrics.Replication.ReadRepairs == 0 {
-		t.Errorf("read_repairs = 0 after a repaired read")
-	}
+	return raw, img.Digest
 }
 
 // TestGatewayCheckpointSurvivesBackendLoss is the in-process half of

@@ -57,7 +57,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var lastSeq uint64
 	seen := false
 	for ctx.Err() == nil {
-		backend, ok := g.runs.get(id)
+		backend, ok := g.runs.Get(id)
 		if !ok || !g.prober.admitted(backend) {
 			// Not posted yet (subscribe-before-post), or the owner is
 			// gone and the failover loop has not re-homed the run yet.

@@ -443,9 +443,9 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, endpoint strin
 	finishRun := func(status int, body []byte) {
 		reqSpan.SetAttrUint("status", uint64(status))
 		reqSpan.End()
-		s.traces.put(runID, trace.Doc())
+		s.traces.Put(runID, trace.Doc())
 		if body != nil {
-			s.results.put(runID, status, body)
+			s.results.Put(runID, storedResult{status, body})
 		}
 		s.broker.Finish(runID, schema.RunEvent{
 			Kind: schema.EventResult, Status: status, Result: string(body)})
@@ -568,9 +568,9 @@ func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	runInfoFrom(r.Context()).set(id)
-	res, ok := s.results.get(id)
+	res, ok := s.results.Get(id)
 	if !ok {
-		apiErr := notFoundError(fmt.Sprintf("no stored result for run %q (results are retained for the last %d runs)", id, s.results.cap))
+		apiErr := notFoundError(fmt.Sprintf("no stored result for run %q (results are retained for the last %d runs)", id, s.results.Cap()))
 		apiErr.body.RunID = id
 		apiErr.write(w)
 		return
@@ -604,9 +604,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	finishBatch := func(status int, body []byte) {
 		reqSpan.SetAttrUint("status", uint64(status))
 		reqSpan.End()
-		s.traces.put(batchID, trace.Doc())
+		s.traces.Put(batchID, trace.Doc())
 		if body != nil {
-			s.results.put(batchID, status, body)
+			s.results.Put(batchID, storedResult{status, body})
 		}
 		s.broker.Finish(batchID, schema.RunEvent{
 			Kind: schema.EventResult, Status: status, Result: string(body)})
@@ -790,7 +790,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			runSpan.SetAttrUint("status", uint64(doc.Status))
 			runSpan.End()
 			runSink(schema.RunEvent{Kind: schema.EventRunResult, Status: doc.Status, Result: doc.Body})
-			s.results.put(runID, doc.Status, []byte(doc.Body))
+			s.results.Put(runID, storedResult{doc.Status, []byte(doc.Body)})
 			outcomes[i] = schema.BatchRunOutcome{
 				Index: i, RunID: runID, Status: doc.Status, Body: doc.Body, Skipped: true}
 			return nil
@@ -809,7 +809,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		runSpan.SetAttrUint("status", uint64(status))
 		runSpan.End()
 		runSink(schema.RunEvent{Kind: schema.EventRunResult, Status: status, Result: string(body)})
-		s.results.put(runID, status, body)
+		s.results.Put(runID, storedResult{status, body})
 		outcomes[i] = schema.BatchRunOutcome{Index: i, RunID: runID, Status: status, Body: string(body)}
 		// Persist conclusive successes as roload-runresult/v1 artifacts
 		// (and replicate them): the next POST of this batch id skips
@@ -922,22 +922,6 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	writeEnvelope(w, status, schema.ImageResponse{Digest: doc.Digest, Reused: !added})
-}
-
-// handleImageGet is GET /v1/images/{digest} (routed only with -store):
-// the stored roload-image/v1 document, bare — it is an artifact, not a
-// serve payload, so it round-trips through roload-run -resume and the
-// schema registry unchanged.
-func (s *Server) handleImageGet(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	raw, err := s.store.Get(schema.ImageV1, digest)
-	if err != nil {
-		notFoundError(fmt.Sprintf("image %s is not in the store", digest)).write(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw) //nolint:errcheck // client gone: nothing to report to
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -1156,7 +1140,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Misses:  stats.ImageMisses,
 		},
 		Experiments:   s.experiments.metrics(),
-		Idempotency:   s.idem.metrics(),
+		Idempotency:   s.idem.Metrics(),
 		Shed:          s.shed.Load(),
 		UptimeSec:     time.Since(s.start).Seconds(),
 		QueueDepth:    int(s.queued.Load()),

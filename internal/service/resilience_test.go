@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -193,7 +194,7 @@ func TestServeIdempotencyReplay(t *testing.T) {
 	if string(a) != string(b) {
 		t.Errorf("replayed body differs:\n a %s\n b %s", a, b)
 	}
-	m := srv.idem.metrics()
+	m := srv.idem.Metrics()
 	if m.Misses != 1 || m.Hits != 1 || m.Entries != 1 {
 		t.Errorf("idempotency metrics = %+v, want 1 miss, 1 hit, 1 entry", m)
 	}
@@ -224,7 +225,7 @@ func TestServeIdempotencyConcurrent(t *testing.T) {
 			t.Errorf("duplicate %d answered a different body", i)
 		}
 	}
-	m := srv.idem.metrics()
+	m := srv.idem.Metrics()
 	if m.Misses != 1 {
 		t.Errorf("misses = %d, want exactly one execution", m.Misses)
 	}
@@ -259,8 +260,47 @@ func TestServeIdempotencyRetryAfterFailure(t *testing.T) {
 	if status != http.StatusOK || h.Get("Idempotency-Replayed") != "true" {
 		t.Errorf("third attempt: status %d, replayed %q; want stored success replay", status, h.Get("Idempotency-Replayed"))
 	}
-	if m := srv.idem.metrics(); m.Misses != 2 || m.Hits != 1 {
-		t.Errorf("idempotency metrics = %+v, want 2 executions + 1 replay", srv.idem.metrics())
+	if m := srv.idem.Metrics(); m.Misses != 2 || m.Hits != 1 {
+		t.Errorf("idempotency metrics = %+v, want 2 executions + 1 replay", srv.idem.Metrics())
+	}
+}
+
+// TestServeIdempotencyBounded: every keyed request adds a cache entry
+// holding its whole response, so the cache must stay bounded however
+// many distinct keys arrive.
+func TestServeIdempotencyBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for i := 0; i < 1100; i++ {
+		if status, _, _ := postKeyed(t, ts.URL+"/v1/run", "bounded-"+strconv.Itoa(i), schema.RunRequest{Source: helloProg}); status != http.StatusOK {
+			t.Fatalf("run %d status = %d", i, status)
+		}
+	}
+	status, menv := get(t, ts.URL+"/metrics")
+	var m schema.ServeMetrics
+	if err := menv.Open(schema.ServeV1, &m); status != http.StatusOK || err != nil {
+		t.Fatalf("metrics status = %d: %v", status, err)
+	}
+	if c := m.Idempotency; c.Entries > 1024 || c.Misses != 1100 {
+		t.Errorf("idempotency = %+v, want at most 1024 entries after 1100 executions", c)
+	}
+}
+
+// TestServeIdempotencyReplayHeaders: a keyed POST /v1/runs replay names
+// the same resource and run as the creation it replays.
+func TestServeIdempotencyReplayHeaders(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	status, _, h1 := postKeyed(t, ts.URL+"/v1/runs", "key-h", schema.RunRequest{Source: helloProg})
+	if status != http.StatusCreated || h1.Get("Location") == "" || h1.Get("Roload-Trace") == "" {
+		t.Fatalf("create status = %d, headers %v", status, h1)
+	}
+	status, _, h2 := postKeyed(t, ts.URL+"/v1/runs", "key-h", schema.RunRequest{Source: helloProg})
+	if status != http.StatusCreated || h2.Get("Idempotency-Replayed") != "true" {
+		t.Fatalf("replay status = %d, replayed %q", status, h2.Get("Idempotency-Replayed"))
+	}
+	for _, k := range []string{"Location", "Roload-Trace"} {
+		if h2.Get(k) != h1.Get(k) {
+			t.Errorf("replay %s = %q, want %q", k, h2.Get(k), h1.Get(k))
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"roload/internal/eval"
+	"roload/internal/retain"
 	"roload/internal/schema"
 	"roload/internal/store"
 	"roload/internal/telemetry"
@@ -184,9 +185,9 @@ type Server struct {
 
 	experiments expCache
 
-	// idem is the idempotency-key response store of the run endpoint;
+	// idem is the idempotency-key layer of the keyed POST routes;
 	// shed counts low-priority requests answered 429 under load.
-	idem *idemCache
+	idem *retain.Idempotency
 	shed atomic.Uint64
 
 	// start stamps process start for the /metrics uptime gauge.
@@ -196,12 +197,12 @@ type Server struct {
 	// subscribers; traces retains completed runs' span documents for
 	// GET /v1/runs/{id}/trace. Both close/bound with the server.
 	broker *telemetry.Broker
-	traces *traceStore
+	traces *retain.FIFO[string, schema.TraceDoc]
 
 	// results retains the rendered response of recently completed runs
 	// for GET /v1/runs/{id}; store is the persistent artifact store
 	// (nil without Config.StoreDir).
-	results *resultStore
+	results *retain.FIFO[string, storedResult]
 	store   *store.Store
 
 	// peerHTTP carries artifact pushes and fetches between fleet
@@ -222,6 +223,10 @@ type Server struct {
 	queueWaitUS   telemetry.Histogram
 	runDurationUS telemetry.Histogram
 }
+
+// retainedRuns is how many completed runs' traces and rendered results
+// the server keeps for GET /v1/runs/{id}(/trace).
+const retainedRuns = 256
 
 type endpointCounters struct {
 	requests, ok, errors4x, errors5x, timeouts atomic.Uint64
@@ -250,11 +255,11 @@ func NewServer(cfg Config) (*Server, error) {
 		slots:      make(chan struct{}, cfg.Workers),
 		queue:      make(chan struct{}, cfg.Workers+cfg.Queue),
 		endpoints:  make(map[string]*endpointCounters),
-		idem:       newIdemCache(),
+		idem:       retain.NewIdempotency(),
 		start:      time.Now(),
 		broker:     telemetry.NewBroker(0, 0),
-		traces:     newTraceStore(0),
-		results:    newResultStore(0),
+		traces:     retain.NewFIFO[string, schema.TraceDoc](retainedRuns),
+		results:    retain.NewFIFO[string, storedResult](retainedRuns),
 		store:      st,
 		peerHTTP:   &http.Client{Timeout: cfg.PeerTimeout},
 	}
@@ -299,10 +304,10 @@ func (s *Server) gcLoop() {
 // Handler returns the service's routed HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.logged("run", s.idem.wrap(s.handleRun)))
-	mux.HandleFunc("POST /v1/runs", s.logged("runs", s.idem.wrap(s.handleRunCreate)))
+	mux.HandleFunc("POST /v1/run", s.logged("run", s.idem.Wrap(s.handleRun)))
+	mux.HandleFunc("POST /v1/runs", s.logged("runs", s.idem.Wrap(s.handleRunCreate)))
 	mux.HandleFunc("GET /v1/runs/{id}", s.logged("run-result", s.handleRunGet))
-	mux.HandleFunc("POST /v1/batch", s.logged("batch", s.idem.wrap(s.handleBatch)))
+	mux.HandleFunc("POST /v1/batch", s.logged("batch", s.idem.Wrap(s.handleBatch)))
 	mux.HandleFunc("POST /v1/compile", s.logged("compile", s.handleCompile))
 	mux.HandleFunc("POST /v1/attack", s.logged("attack", s.handleAttack))
 	mux.HandleFunc("GET /v1/experiments", s.logged("experiments", s.handleExperimentList))
@@ -317,7 +322,7 @@ func (s *Server) Handler() http.Handler {
 	}
 	if s.store != nil {
 		mux.HandleFunc("POST /v1/images", s.logged("images", s.handleImagePut))
-		mux.HandleFunc("GET /v1/images/{digest}", s.logged("image", s.handleImageGet))
+		mux.HandleFunc("GET /v1/images/{digest}", s.logged("image", imageKind(s.handleStoreGet)))
 		mux.HandleFunc("GET /v1/store/{kind}/{digest}", s.logged("store-get", s.handleStoreGet))
 		mux.HandleFunc("PUT /v1/store/{kind}/{digest}", s.logged("store-put", s.handleStorePut))
 	}

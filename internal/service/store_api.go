@@ -58,9 +58,9 @@ func (s *Server) pinIfPrecious(kind, digest string) {
 }
 
 // handleStoreGet is GET /v1/store/{kind}/{digest}: the stored artifact,
-// bare. For kind "roload-image" the response is byte-identical to
-// GET /v1/images/{digest} — the store surface is a superset, not a
-// dialect.
+// bare — an artifact, not a serve payload, so it round-trips through
+// roload-run -resume and the schema registry unchanged. It also serves
+// GET /v1/images/{digest}, through imageKind.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	k, ok := schema.KindByName(r.PathValue("kind"))
 	if !ok {
@@ -76,6 +76,15 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(raw) //nolint:errcheck // client gone: nothing to report to
+}
+
+// imageKind fixes a store route's {kind} to roload-image: the
+// GET /v1/images/{digest} alias is the store GET of that kind.
+func imageKind(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.SetPathValue("kind", schema.KindName(schema.ImageV1))
+		h(w, r)
+	}
 }
 
 // handleStorePut is PUT /v1/store/{kind}/{digest}: accept one artifact

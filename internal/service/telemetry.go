@@ -59,85 +59,12 @@ func runInfoFrom(ctx context.Context) *runInfo {
 	return ri
 }
 
-// traceStore retains the span documents of recently completed runs for
-// GET /v1/runs/{id}/trace, bounded FIFO like the broker's history
-// retention.
-type traceStore struct {
-	mu    sync.Mutex
-	cap   int
-	docs  map[string]schema.TraceDoc
-	order []string
-}
-
-func newTraceStore(cap int) *traceStore {
-	if cap <= 0 {
-		cap = 256
-	}
-	return &traceStore{cap: cap, docs: make(map[string]schema.TraceDoc)}
-}
-
-func (ts *traceStore) put(runID string, doc schema.TraceDoc) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if _, ok := ts.docs[runID]; !ok {
-		ts.order = append(ts.order, runID)
-		if len(ts.order) > ts.cap {
-			delete(ts.docs, ts.order[0])
-			ts.order = ts.order[1:]
-		}
-	}
-	ts.docs[runID] = doc
-}
-
-func (ts *traceStore) get(runID string) (schema.TraceDoc, bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	doc, ok := ts.docs[runID]
-	return doc, ok
-}
-
 // storedResult is one completed run's rendered answer: the HTTP status
 // and the exact response bytes, so GET /v1/runs/{id} replays what the
 // synchronous caller saw, byte for byte.
 type storedResult struct {
 	status int
 	body   []byte
-}
-
-// resultStore retains recently completed runs' rendered responses for
-// GET /v1/runs/{id}, bounded FIFO like the trace registry.
-type resultStore struct {
-	mu    sync.Mutex
-	cap   int
-	res   map[string]storedResult
-	order []string
-}
-
-func newResultStore(cap int) *resultStore {
-	if cap <= 0 {
-		cap = 256
-	}
-	return &resultStore{cap: cap, res: make(map[string]storedResult)}
-}
-
-func (rs *resultStore) put(runID string, status int, body []byte) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if _, ok := rs.res[runID]; !ok {
-		rs.order = append(rs.order, runID)
-		if len(rs.order) > rs.cap {
-			delete(rs.res, rs.order[0])
-			rs.order = rs.order[1:]
-		}
-	}
-	rs.res[runID] = storedResult{status: status, body: body}
-}
-
-func (rs *resultStore) get(runID string) (storedResult, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	r, ok := rs.res[runID]
-	return r, ok
 }
 
 // keyCheckCounters tracks per-hardening-mode run and ROLoad-violation
@@ -265,9 +192,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		validationError(fmt.Sprintf("invalid run id %q", id)).write(w)
 		return
 	}
-	doc, ok := s.traces.get(id)
+	doc, ok := s.traces.Get(id)
 	if !ok {
-		notFoundError(fmt.Sprintf("no trace for run %q (traces are retained for the last %d runs)", id, s.traces.cap)).write(w)
+		notFoundError(fmt.Sprintf("no trace for run %q (traces are retained for the last %d runs)", id, s.traces.Cap())).write(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

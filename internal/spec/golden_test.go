@@ -38,7 +38,7 @@ func TestGoldenOutputs(t *testing.T) {
 			if !ok {
 				t.Fatal("workload missing")
 			}
-			m, err := core.Measure(w.TestSource(), core.HardenNone, core.SysFull, 500_000_000)
+			m, err := measure(w.TestSource(), core.HardenNone, 500_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,21 @@
 package spec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"roload/internal/core"
 )
+
+// measure builds src with scheme h and runs it on the full system.
+func measure(src string, h core.Hardening, maxSteps uint64) (core.Measurement, error) {
+	img, _, err := core.Build(src, h)
+	if err != nil {
+		return core.Measurement{}, err
+	}
+	return core.MeasureImage(context.Background(), img, h, core.SysFull, core.RunOptions{MaxSteps: maxSteps})
+}
 
 func TestWorkloadRegistry(t *testing.T) {
 	all := Workloads()
@@ -68,7 +78,7 @@ func TestWorkloadsCorrectUnderAllHardenings(t *testing.T) {
 			var wantOut string
 			var wantCode int
 			for i, h := range schemes {
-				m, err := core.Measure(src, h, core.SysFull, 200_000_000)
+				m, err := measure(src, h, 200_000_000)
 				if err != nil {
 					t.Fatalf("%v: %v", h, err)
 				}
@@ -100,7 +110,7 @@ func TestWorkloadsCorrectUnderAllHardenings(t *testing.T) {
 // figures would measure nothing.
 func TestWorkloadCallProfiles(t *testing.T) {
 	for _, w := range CXX() {
-		m, err := core.Measure(w.TestSource(), core.HardenVCall, core.SysFull, 200_000_000)
+		m, err := measure(w.TestSource(), core.HardenVCall, 200_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +119,7 @@ func TestWorkloadCallProfiles(t *testing.T) {
 		}
 	}
 	gccW, _ := ByName("403.gcc")
-	m, err := core.Measure(gccW.TestSource(), core.HardenICall, core.SysFull, 200_000_000)
+	m, err := measure(gccW.TestSource(), core.HardenICall, 200_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +137,7 @@ func TestRefScaleInstructionCounts(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			m, err := core.Measure(w.RefSource(), core.HardenNone, core.SysFull, 500_000_000)
+			m, err := measure(w.RefSource(), core.HardenNone, 500_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}

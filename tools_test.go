@@ -329,6 +329,28 @@ func TestGofmtAndVet(t *testing.T) {
 	}
 }
 
+// TestPerfModuleBuilds compiles the benchmark harness. internal/perf
+// and cmd/roload-perf are nested modules, so go build ./... never
+// reaches them; a change to the tiers they drive must still keep them
+// building. Both modules resolve roload from this checkout, so the
+// build needs no network.
+func TestPerfModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns toolchain")
+	}
+	env := append(os.Environ(), "GOPROXY=off", "GOWORK=off")
+	for _, args := range [][]string{
+		{"-C", "internal/perf", "vet", "./..."},
+		{"-C", "cmd/roload-perf", "build", "-o", filepath.Join(t.TempDir(), "roload-perf"), "."},
+	} {
+		cmd := exec.Command("go", args...)
+		cmd.Env = env
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, msg)
+		}
+	}
+}
+
 // TestCLIFlagSpelling pins the shared internal/cli flag contract
 // across the tools: -sys is an alias of -system, and every unknown
 // -system/-sys/-harden value exits 2 naming the known values.
