@@ -9,10 +9,13 @@
 // serial, so results, orderings and error messages are identical to a
 // serial run regardless of completion order.
 //
-// Measurement is context-aware: a cell whose leader is cancelled
-// mid-run is evicted from the memo (a dead tenant must not poison the
-// cache for live ones), and waiters whose own context is still live
-// simply re-run the cell.
+// Both memos are retain.Memo: single-flight, bounded at 1024 entries
+// in FIFO order. An evaluation report needs 50 images and 72 cells, so
+// it never evicts; a service fed endlessly many sources recompiles an
+// evicted one, deterministically, to the same image. Measurement is
+// context-aware: a cell whose leader is cancelled mid-run is not kept
+// (a dead tenant must not poison the cache for live ones), and waiters
+// whose own context is still live simply re-run the cell.
 package eval
 
 import (
@@ -25,6 +28,8 @@ import (
 
 	"roload/internal/asm"
 	"roload/internal/core"
+	"roload/internal/retain"
+	"roload/internal/schema"
 	"roload/internal/spec"
 )
 
@@ -33,10 +38,10 @@ type imageKey struct {
 	h   core.Hardening
 }
 
-type imageEntry struct {
-	once sync.Once
-	img  *asm.Image
-	err  error
+// built is one compilation's outcome, compile errors included.
+type built struct {
+	img *asm.Image
+	err error
 }
 
 type measureKey struct {
@@ -45,30 +50,25 @@ type measureKey struct {
 	sys core.SystemKind
 }
 
-type measureEntry struct {
-	done chan struct{}
-	m    core.Measurement
-	err  error
+// measured is one cell's outcome.
+type measured struct {
+	m   core.Measurement
+	err error
 }
 
 // Runner measures experiment cells with a bounded worker pool and
-// memoizes both compiled images and measurements. The zero value is
-// not usable; call NewRunner. A Runner is safe for concurrent use —
-// including by concurrent HTTP requests sharing one server-wide
-// instance.
+// memoizes both compiled images and measurements, each in a
+// retain.Memo bounded at 1024 entries. The zero value is not usable;
+// call NewRunner. A Runner is safe for concurrent use — including by
+// concurrent HTTP requests sharing one server-wide instance.
 type Runner struct {
 	// NoFastPath forwards to every simulator instance (see
 	// cpu.Config.NoFastPath). Set before the first measurement.
 	NoFastPath bool
 
 	parallel int
-
-	mu     sync.Mutex
-	images map[imageKey]*imageEntry
-	meas   map[measureKey]*measureEntry
-
-	imageHits   atomic.Uint64
-	imageMisses atomic.Uint64
+	images   *retain.Memo[imageKey, built]
+	meas     *retain.Memo[measureKey, measured]
 }
 
 // NewRunner returns a Runner running up to parallel cells at once;
@@ -79,37 +79,20 @@ func NewRunner(parallel int) *Runner {
 	}
 	return &Runner{
 		parallel: parallel,
-		images:   make(map[imageKey]*imageEntry),
-		meas:     make(map[measureKey]*measureEntry),
+		images:   retain.NewMemo[imageKey, built](),
+		meas:     retain.NewMemo[measureKey, measured](),
 	}
 }
 
-// RunnerStats describes the Runner's caches (service /metrics).
-type RunnerStats struct {
-	Images       int
-	Measurements int
-	ImageHits    uint64
-	ImageMisses  uint64
-}
+// ImageCache snapshots the image cache (service /metrics).
+func (r *Runner) ImageCache() schema.CacheMetrics { return r.images.Metrics() }
 
-// Stats returns a point-in-time view of the caches.
-func (r *Runner) Stats() RunnerStats {
-	r.mu.Lock()
-	images, meas := len(r.images), len(r.meas)
-	r.mu.Unlock()
-	return RunnerStats{
-		Images:       images,
-		Measurements: meas,
-		ImageHits:    r.imageHits.Load(),
-		ImageMisses:  r.imageMisses.Load(),
-	}
-}
-
-// Image compiles src under h, once per (src, h); concurrent callers
-// share the result. Images are immutable after assembly, so sharing
-// them across simulator instances is safe. Compilation is quick and
-// deterministic, so it deliberately takes no context: once started it
-// always completes and the cache entry is always reusable.
+// Image compiles src under h, once per (src, h) while the image stays
+// cached; concurrent callers share the result. Images are immutable
+// after assembly, so sharing them across simulator instances is safe.
+// Compilation is quick and deterministic, so it deliberately takes no
+// context: once started it always completes, and an evicted image
+// recompiles to the same bytes.
 func (r *Runner) Image(src string, h core.Hardening) (*asm.Image, error) {
 	img, _, err := r.CachedImage(src, h)
 	return img, err
@@ -120,22 +103,11 @@ func (r *Runner) Image(src string, h core.Hardening) (*asm.Image, error) {
 // The HTTP service's batch endpoint uses the verdict to prove its
 // compile-exactly-once contract.
 func (r *Runner) CachedImage(src string, h core.Hardening) (img *asm.Image, hit bool, err error) {
-	r.mu.Lock()
-	e, ok := r.images[imageKey{src, h}]
-	if !ok {
-		e = &imageEntry{}
-		r.images[imageKey{src, h}] = e
-	}
-	r.mu.Unlock()
-	if ok {
-		r.imageHits.Add(1)
-	} else {
-		r.imageMisses.Add(1)
-	}
-	e.once.Do(func() {
-		e.img, _, e.err = core.Build(src, h)
+	b, led, _ := r.images.Do(context.Background(), imageKey{src, h}, func() (built, bool) {
+		img, _, err := core.Build(src, h)
+		return built{img, err}, true
 	})
-	return e.img, ok, e.err
+	return b.img, !led, b.err
 }
 
 // ctxErr reports whether err stems from context cancellation or an
@@ -146,46 +118,18 @@ func ctxErr(err error) bool {
 
 // Measure builds (via the image cache) and runs one cell, once per
 // (src, h, sys); concurrent and repeated callers share the result.
-// A cell cancelled mid-run is evicted so a later caller with a live
+// A cell cancelled mid-run is not kept, so a later caller with a live
 // context measures it afresh; waiters bail out on their own context
 // without disturbing the leader.
 func (r *Runner) Measure(ctx context.Context, src string, h core.Hardening, sys core.SystemKind) (core.Measurement, error) {
-	k := measureKey{src, h, sys}
-	for {
-		r.mu.Lock()
-		e, ok := r.meas[k]
-		if !ok {
-			e = &measureEntry{done: make(chan struct{})}
-			r.meas[k] = e
-			r.mu.Unlock()
-			e.m, e.err = r.measureCell(ctx, src, h, sys)
-			if ctxErr(e.err) {
-				r.mu.Lock()
-				if r.meas[k] == e {
-					delete(r.meas, k)
-				}
-				r.mu.Unlock()
-			}
-			close(e.done)
-			return e.m, e.err
-		}
-		r.mu.Unlock()
-		select {
-		case <-e.done:
-			if ctxErr(e.err) {
-				// The leader was cancelled; this waiter's context may
-				// still be live — retry against a fresh entry (or fail
-				// fast if our own context is also done).
-				if err := ctx.Err(); err != nil {
-					return core.Measurement{}, err
-				}
-				continue
-			}
-			return e.m, e.err
-		case <-ctx.Done():
-			return core.Measurement{}, ctx.Err()
-		}
+	res, _, err := r.meas.Do(ctx, measureKey{src, h, sys}, func() (measured, bool) {
+		m, err := r.measureCell(ctx, src, h, sys)
+		return measured{m, err}, !ctxErr(err)
+	})
+	if err != nil {
+		return core.Measurement{}, err
 	}
+	return res.m, res.err
 }
 
 func (r *Runner) measureCell(ctx context.Context, src string, h core.Hardening, sys core.SystemKind) (core.Measurement, error) {

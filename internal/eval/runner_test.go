@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"roload/internal/core"
+	"roload/internal/kernel"
 	"roload/internal/spec"
 )
 
@@ -76,8 +77,8 @@ func TestRunnerImageCache(t *testing.T) {
 	if img1 != img2 {
 		t.Error("repeated Image calls returned distinct images")
 	}
-	if len(r.images) != 1 {
-		t.Errorf("image cache holds %d entries, want 1", len(r.images))
+	if n := r.images.Metrics().Entries; n != 1 {
+		t.Errorf("image cache holds %d entries, want 1", n)
 	}
 
 	m1, err := r.Measure(context.Background(), source, core.HardenICall, core.SysFull)
@@ -91,8 +92,40 @@ func TestRunnerImageCache(t *testing.T) {
 	if !reflect.DeepEqual(m1, m2) {
 		t.Error("memoized Measure returned different measurements")
 	}
-	if len(r.meas) != 1 {
-		t.Errorf("measurement memo holds %d entries, want 1", len(r.meas))
+	if n := r.meas.Metrics().Entries; n != 1 {
+		t.Errorf("measurement memo holds %d entries, want 1", n)
+	}
+}
+
+// TestRunnerImageCacheBounded proves the image cache forgets: a
+// stream of distinct sources longer than the cap leaves at most 1024
+// images cached, and an evicted source recompiles to the same image.
+func TestRunnerImageCacheBounded(t *testing.T) {
+	r := NewRunner(1)
+	source := func(i int) string {
+		return fmt.Sprintf("// salt %d\nfunc main() int { return 0; }\n", i)
+	}
+	first, err := r.Image(source(0), core.HardenNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 1100; i++ {
+		if _, err := r.Image(source(i), core.HardenNone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.ImageCache().Entries; n > 1024 {
+		t.Fatalf("image cache holds %d entries, want at most 1024", n)
+	}
+	again, hit, err := r.CachedImage(source(0), core.HardenNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Error("the oldest source survived 1099 newer ones")
+	}
+	if got, want := kernel.ImageDigest(again), kernel.ImageDigest(first); got != want {
+		t.Errorf("recompiled image digest %s, want %s", got, want)
 	}
 }
 
@@ -137,10 +170,7 @@ func TestRunnerCancelEvictsMemo(t *testing.T) {
 	if _, err := r.Measure(ctx, source, core.HardenNone, core.SysFull); err == nil {
 		t.Fatal("Measure with a cancelled context succeeded")
 	}
-	r.mu.Lock()
-	stale := len(r.meas)
-	r.mu.Unlock()
-	if stale != 0 {
+	if stale := r.meas.Metrics().Entries; stale != 0 {
 		t.Fatalf("cancelled Measure left %d memo entries", stale)
 	}
 

@@ -140,13 +140,22 @@ func TestGatewayStorePutReplication(t *testing.T) {
 		waitHolds(t, target, "roload-batch", digest)
 	}
 
-	var metrics schema.GatewayMetrics
-	if status := getJSON(t, ts.URL+"/metrics", &metrics); status != http.StatusOK {
-		t.Fatalf("metrics status = %d", status)
-	}
-	r := metrics.Replication
-	if r.Replicas != 2 || r.Enqueued == 0 || r.Replicated == 0 {
-		t.Errorf("replication metrics = %+v, want replicas 2 and traffic", r)
+	// The worker counts a push only after the backend has answered it,
+	// so the counter may trail the copy waitHolds just saw.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var metrics schema.GatewayMetrics
+		if status := getJSON(t, ts.URL+"/metrics", &metrics); status != http.StatusOK {
+			t.Fatalf("metrics status = %d", status)
+		}
+		r := metrics.Replication
+		if r.Replicas == 2 && r.Enqueued != 0 && r.Replicated != 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replication metrics = %+v, want replicas 2 and traffic", r)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package retain is the bounded, insertion-ordered retention the serving
-// tiers share: a generic FIFO map (trace documents, run results,
-// affinity hints) and the idempotency-key middleware built on it.
+// Package retain is the bounded, insertion-ordered retention the tiers
+// share: a generic FIFO map (trace documents, run results, affinity
+// hints), the single-flight Memo built on it (compiled images,
+// measurements, experiments) and the idempotency-key middleware built
+// on that.
 package retain
 
 import (

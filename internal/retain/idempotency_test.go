@@ -9,6 +9,9 @@ import (
 	"testing"
 )
 
+// idempotencyCap is the production key bound of every tier.
+const idempotencyCap = memoCap
+
 // execHandler answers every execution with the status the test set,
 // a body naming the execution number, and the replayed headers naming
 // it too — a replay must serve execution n's bytes and headers

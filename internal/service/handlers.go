@@ -1075,9 +1075,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.runCtx(r, req.TimeoutMS)
 	defer cancel()
 
-	data, err := s.experiments.get(ctx, expKey{id, scale}, func(ctx2 context.Context) (any, error) {
-		return s.runner.Experiment(ctx2, id, scale, s.cfg.Root)
+	res, _, err := s.experiments.Do(ctx, expKey{id, scale}, func() (experiment, bool) {
+		data, err := s.runner.Experiment(ctx, id, scale, s.cfg.Root)
+		return experiment{data, err}, !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 	})
+	if err == nil {
+		err = res.err
+	}
 	if err != nil {
 		var canceled *kernel.CanceledError
 		if errors.As(err, &canceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -1090,7 +1094,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	writeEnvelope(w, http.StatusOK, schema.ExperimentResponse{
 		ID:    id,
 		Scale: cli.ScaleName(scale),
-		Data:  data,
+		Data:  res.data,
 	})
 }
 
@@ -1127,19 +1131,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	stats := s.runner.Stats()
 	resp := schema.ServeMetrics{
-		Workers:   s.cfg.Workers,
-		InFlight:  int(s.inFlight.Load()),
-		Queued:    int(s.queued.Load()),
-		Draining:  s.draining.Load(),
-		Endpoints: make(map[string]schema.EndpointMetrics),
-		ImageCache: schema.CacheMetrics{
-			Entries: uint64(stats.Images),
-			Hits:    stats.ImageHits,
-			Misses:  stats.ImageMisses,
-		},
-		Experiments:   s.experiments.metrics(),
+		Workers:       s.cfg.Workers,
+		InFlight:      int(s.inFlight.Load()),
+		Queued:        int(s.queued.Load()),
+		Draining:      s.draining.Load(),
+		Endpoints:     make(map[string]schema.EndpointMetrics),
+		ImageCache:    s.runner.ImageCache(),
+		Experiments:   s.experiments.Metrics(),
 		Idempotency:   s.idem.Metrics(),
 		Shed:          s.shed.Load(),
 		UptimeSec:     time.Since(s.start).Seconds(),

@@ -183,7 +183,10 @@ type Server struct {
 	keyChecks  map[string]*keyCheckCounters
 	engineRuns map[string]uint64
 
-	experiments expCache
+	// experiments is the memo of computed experiments, one computation
+	// per (id, scale) shared across tenants; a computation cancelled
+	// mid-run is not kept.
+	experiments *retain.Memo[expKey, experiment]
 
 	// idem is the idempotency-key layer of the keyed POST routes;
 	// shed counts low-priority requests answered 429 under load.
@@ -224,6 +227,17 @@ type Server struct {
 	runDurationUS telemetry.Histogram
 }
 
+type expKey struct {
+	id    string
+	scale eval.Scale
+}
+
+// experiment is one experiment computation's outcome.
+type experiment struct {
+	data any
+	err  error
+}
+
 // retainedRuns is how many completed runs' traces and rendered results
 // the server keeps for GET /v1/runs/{id}(/trace).
 const retainedRuns = 256
@@ -248,22 +262,22 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		runner:     eval.NewRunner(cfg.Workers),
-		baseCtx:    base,
-		cancelRuns: cancel,
-		slots:      make(chan struct{}, cfg.Workers),
-		queue:      make(chan struct{}, cfg.Workers+cfg.Queue),
-		endpoints:  make(map[string]*endpointCounters),
-		idem:       retain.NewIdempotency(),
-		start:      time.Now(),
-		broker:     telemetry.NewBroker(0, 0),
-		traces:     retain.NewFIFO[string, schema.TraceDoc](retainedRuns),
-		results:    retain.NewFIFO[string, storedResult](retainedRuns),
-		store:      st,
-		peerHTTP:   &http.Client{Timeout: cfg.PeerTimeout},
+		cfg:         cfg,
+		runner:      eval.NewRunner(cfg.Workers),
+		baseCtx:     base,
+		cancelRuns:  cancel,
+		slots:       make(chan struct{}, cfg.Workers),
+		queue:       make(chan struct{}, cfg.Workers+cfg.Queue),
+		endpoints:   make(map[string]*endpointCounters),
+		idem:        retain.NewIdempotency(),
+		experiments: retain.NewMemo[expKey, experiment](),
+		start:       time.Now(),
+		broker:      telemetry.NewBroker(0, 0),
+		traces:      retain.NewFIFO[string, schema.TraceDoc](retainedRuns),
+		results:     retain.NewFIFO[string, storedResult](retainedRuns),
+		store:       st,
+		peerHTTP:    &http.Client{Timeout: cfg.PeerTimeout},
 	}
-	s.experiments.entries = make(map[expKey]*expEntry)
 	// When the drain grace expires (or Close fires) the broker shuts
 	// down, ending every event stream — otherwise http.Server.Shutdown
 	// would deadlock waiting on SSE handlers that are waiting on events.
@@ -336,11 +350,9 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) StartDrain() {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
-		timer := time.AfterFunc(s.cfg.Grace, s.cancelRuns)
-		// If every in-flight request finishes early the timer only
-		// cancels an already-idle context; keep it simple and let it
-		// fire. (Close stops it for tests that tear down immediately.)
-		_ = timer
+		// Letting the timer fire is harmless: cancelRuns on an idle or
+		// already-closed server is a no-op.
+		time.AfterFunc(s.cfg.Grace, s.cancelRuns)
 	})
 }
 

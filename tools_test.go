@@ -293,10 +293,18 @@ func TestCLIBenchFlagValidation(t *testing.T) {
 // quiet on one schedule. Skips gracefully where -race is unsupported
 // (no cgo / unsupported platform).
 func TestParallelRunnerRace(t *testing.T) {
+	raceTest(t, "-run", "TestRunner", "roload/internal/eval")
+}
+
+// raceTest runs go test -race -count=1 with args (flags, then the
+// package), failing t on a test failure and skipping it where the race
+// detector is unavailable (no cgo / unsupported platform).
+func raceTest(t *testing.T, args ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns toolchain")
 	}
-	cmd := exec.Command("go", "test", "-race", "-count=1", "-run", "TestRunner", "roload/internal/eval")
+	cmd := exec.Command("go", append([]string{"test", "-race", "-count=1"}, args...)...)
 	cmd.Env = os.Environ()
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -307,8 +315,16 @@ func TestParallelRunnerRace(t *testing.T) {
 			strings.Contains(s, "C compiler") {
 			t.Skipf("race detector unavailable here:\n%s", s)
 		}
-		t.Fatalf("go test -race on the runner: %v\n%s", err, s)
+		t.Fatalf("go test -race %v: %v\n%s", args, err, s)
 	}
+}
+
+// TestRetainRace re-runs the retain tests (FIFO, single-flight memo,
+// idempotency middleware) under the race detector: the eval Runner's
+// caches, the service's experiment cache and both tiers' idempotency
+// layers all rest on that package's concurrency.
+func TestRetainRace(t *testing.T) {
+	raceTest(t, "roload/internal/retain")
 }
 
 // TestGofmtAndVet keeps the tree formatted and vet-clean: gofmt -l
@@ -526,22 +542,7 @@ func TestServiceMatchesCLI(t *testing.T) {
 // caches, drain, concurrent clients) under the race detector, like
 // TestParallelRunnerRace does for the eval runner.
 func TestServiceRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns toolchain")
-	}
-	cmd := exec.Command("go", "test", "-race", "-count=1", "-run", "TestServe", "roload/internal/service")
-	cmd.Env = os.Environ()
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		s := string(out)
-		if strings.Contains(s, "-race is only supported on") ||
-			strings.Contains(s, "-race requires cgo") ||
-			strings.Contains(s, "cgo is disabled") ||
-			strings.Contains(s, "C compiler") {
-			t.Skipf("race detector unavailable here:\n%s", s)
-		}
-		t.Fatalf("go test -race on the service: %v\n%s", err, s)
-	}
+	raceTest(t, "-run", "TestServe", "roload/internal/service")
 }
 
 // TestChaosMatrixRace re-runs the pointee-integrity chaos matrix under
@@ -550,44 +551,14 @@ func TestServiceRace(t *testing.T) {
 // interleaving must be provably race-clean. Skips gracefully where
 // -race is unsupported.
 func TestChaosMatrixRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns toolchain")
-	}
-	cmd := exec.Command("go", "test", "-race", "-count=1", "-run", "TestChaosMatrix", "roload/internal/fault")
-	cmd.Env = os.Environ()
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		s := string(out)
-		if strings.Contains(s, "-race is only supported on") ||
-			strings.Contains(s, "-race requires cgo") ||
-			strings.Contains(s, "cgo is disabled") ||
-			strings.Contains(s, "C compiler") {
-			t.Skipf("race detector unavailable here:\n%s", s)
-		}
-		t.Fatalf("go test -race on the chaos matrix: %v\n%s", err, s)
-	}
+	raceTest(t, "-run", "TestChaosMatrix", "roload/internal/fault")
 }
 
 // TestClientRace re-runs the resilient-client tests (circuit breaker,
 // hedged requests, concurrent exactly-once delivery) under the race
 // detector, like TestServiceRace does for the HTTP service.
 func TestClientRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns toolchain")
-	}
-	cmd := exec.Command("go", "test", "-race", "-count=1", "roload/internal/client")
-	cmd.Env = os.Environ()
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		s := string(out)
-		if strings.Contains(s, "-race is only supported on") ||
-			strings.Contains(s, "-race requires cgo") ||
-			strings.Contains(s, "cgo is disabled") ||
-			strings.Contains(s, "C compiler") {
-			t.Skipf("race detector unavailable here:\n%s", s)
-		}
-		t.Fatalf("go test -race on the client: %v\n%s", err, s)
-	}
+	raceTest(t, "roload/internal/client")
 }
 
 // TestEngineDifferentialRace re-runs the cross-engine differential
@@ -597,32 +568,11 @@ func TestClientRace(t *testing.T) {
 // with the predecode machinery; this proves the three-engine
 // differential itself is race-clean, not just quiet on one schedule.
 func TestEngineDifferentialRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns toolchain")
-	}
-	runs := []struct{ sel, pkg []string }{
-		// -short trims the equivalence matrix to one workload's full
-		// hardening × system slab: every engine code path (clean exit,
-		// SIGILL, SIGSEGV) stays in play at race-detector speed.
-		{[]string{"-short", "-run", "TestFastPathEquivalence"}, []string{"roload/internal/eval"}},
-		{[]string{"-run", "TestEngineDifferentialChaosCell"}, []string{"roload/internal/fault"}},
-	}
-	for _, r := range runs {
-		args := append([]string{"test", "-race", "-count=1"}, r.sel...)
-		cmd := exec.Command("go", append(args, r.pkg...)...)
-		cmd.Env = os.Environ()
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			s := string(out)
-			if strings.Contains(s, "-race is only supported on") ||
-				strings.Contains(s, "-race requires cgo") ||
-				strings.Contains(s, "cgo is disabled") ||
-				strings.Contains(s, "C compiler") {
-				t.Skipf("race detector unavailable here:\n%s", s)
-			}
-			t.Fatalf("go test -race on %v: %v\n%s", r.pkg, err, s)
-		}
-	}
+	// -short trims the equivalence matrix to one workload's full
+	// hardening × system slab: every engine code path (clean exit,
+	// SIGILL, SIGSEGV) stays in play at race-detector speed.
+	raceTest(t, "-short", "-run", "TestFastPathEquivalence", "roload/internal/eval")
+	raceTest(t, "-run", "TestEngineDifferentialChaosCell", "roload/internal/fault")
 }
 
 // TestCLIBenchCheck drives the perf-regression gate end to end:
@@ -1261,22 +1211,7 @@ func TestBatchSchemaValidates(t *testing.T) {
 // failover proxy, idempotency pin, SSE relay, goroutine-leak checks)
 // under the race detector, like TestServiceRace does for the service.
 func TestGatewayRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns toolchain")
-	}
-	cmd := exec.Command("go", "test", "-race", "-count=1", "roload/internal/gateway")
-	cmd.Env = os.Environ()
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		s := string(out)
-		if strings.Contains(s, "-race is only supported on") ||
-			strings.Contains(s, "-race requires cgo") ||
-			strings.Contains(s, "cgo is disabled") ||
-			strings.Contains(s, "C compiler") {
-			t.Skipf("race detector unavailable here:\n%s", s)
-		}
-		t.Fatalf("go test -race on the gateway: %v\n%s", err, s)
-	}
+	raceTest(t, "roload/internal/gateway")
 }
 
 // TestCLIGatewayChaos is the fleet-robustness claim end to end with
