@@ -1,10 +1,13 @@
 // Package client is the resilient Go client of the roload-serve API:
 // exponential backoff with full jitter, per-attempt timeouts, hedged
-// requests, a consecutive-failure circuit breaker with half-open
-// probing, and automatic idempotency keys so every retry and hedge of
+// requests, and automatic idempotency keys so every retry and hedge of
 // one logical request is deduplicated server-side — the combination
 // that makes "retry until 2xx" safe against injected latency, errors
 // and worker panics.
+//
+// The client never refuses a request locally: every attempt reaches
+// the wire, so whoever watches the failures (the gateway's health
+// prober, a load generator's report) sees every one of them.
 //
 // The retry loop treats transport errors and 429/5xx statuses as
 // retryable (honouring Retry-After when the server names a backoff)
@@ -55,15 +58,12 @@ type Config struct {
 	// HedgeDelay launches a duplicate request when an attempt has been
 	// silent this long; first answer wins (0 = hedging off).
 	HedgeDelay time.Duration
-	// Breaker parameterizes the circuit breaker.
-	Breaker BreakerConfig
 
 	// JitterSeed makes the backoff jitter deterministic for tests
 	// (0 = seeded from crypto/rand).
 	JitterSeed int64
-	// Now and Sleep are test seams for the breaker clock and the
-	// backoff wait (nil = time.Now and a context-aware timer sleep).
-	Now   func() time.Time
+	// Sleep is the test seam for the backoff wait (nil = a
+	// context-aware timer sleep).
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
@@ -82,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 10 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.Sleep == nil {
 		c.Sleep = func(ctx context.Context, d time.Duration) error {
@@ -156,8 +153,7 @@ type RunResult struct {
 // Client is a resilient roload-serve API client. Safe for concurrent
 // use.
 type Client struct {
-	cfg     Config
-	breaker *breaker
+	cfg Config
 
 	keyPrefix string
 	keySeq    atomic.Uint64
@@ -187,15 +183,10 @@ func New(cfg Config) *Client {
 	}
 	return &Client{
 		cfg:       cfg,
-		breaker:   newBreaker(cfg.Breaker, cfg.Now),
 		keyPrefix: hex.EncodeToString(prefix[:]),
 		rng:       mrand.New(mrand.NewSource(seed)),
 	}
 }
-
-// BreakerState reports the circuit breaker's state ("closed", "open",
-// "half-open") for tests and metrics.
-func (c *Client) BreakerState() string { return c.breaker.currentState() }
 
 // nextKey mints the idempotency key for one logical request: a
 // client-unique prefix plus a sequence number. Every retry and hedge
@@ -207,9 +198,11 @@ func (c *Client) nextKey() string {
 // backoff computes the post-attempt delay: exponential with full
 // jitter, floored by the server's Retry-After when one was given.
 func (c *Client) backoff(attempt, retryAfterSec int) time.Duration {
-	d := c.cfg.BaseBackoff << attempt
-	if d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
+	// Shift only while the result stays under MaxBackoff: a shift past
+	// it could overflow to a negative or zero delay.
+	d := c.cfg.MaxBackoff
+	if c.cfg.BaseBackoff <= d>>attempt {
+		d = c.cfg.BaseBackoff << attempt
 	}
 	c.mu.Lock()
 	d = time.Duration(c.rng.Int63n(int64(d))) + 1
@@ -222,9 +215,8 @@ func (c *Client) backoff(attempt, retryAfterSec int) time.Duration {
 
 // Run executes one logical run request with retries, hedging and
 // idempotency. It returns the first conclusive answer: a RunResult for
-// 2xx, an *APIError for a non-retryable error status, ErrCircuitOpen
-// when the breaker refuses, or the last transport/retryable failure
-// when the attempt budget runs out.
+// 2xx, an *APIError for a non-retryable error status, or the last
+// transport/retryable failure when the attempt budget runs out.
 func (c *Client) Run(ctx context.Context, req schema.RunRequest) (*RunResult, error) {
 	return c.RunWithID(ctx, telemetry.NewRunID(), req)
 }
@@ -252,12 +244,12 @@ func (c *Client) RunWithID(ctx context.Context, runID string, req schema.RunRequ
 }
 
 // execute drives the generic resilient exchange every endpoint method
-// shares: the breaker gate, per-attempt spans under a client trace,
-// hedging, exponential backoff with full jitter and Retry-After
-// floors — all attempts under one idempotency key so the server
-// executes the body at most once. It returns the first conclusive
-// reply with the attempt/hedge counts and the client-side trace
-// document, or the last failure when the attempt budget runs out.
+// shares: per-attempt spans under a client trace, hedging, exponential
+// backoff with full jitter and Retry-After floors — all attempts under
+// one idempotency key so the server executes the body at most once.
+// It returns the first conclusive reply with the attempt/hedge counts
+// and the client-side trace document, or the last failure when the
+// attempt budget runs out.
 func (c *Client) execute(ctx context.Context, key, runID, method, path string, body []byte) (*httpReply, int, int, schema.TraceDoc, error) {
 	tr := telemetry.NewTrace(runID, "c")
 	root := tr.Start("run", "")
@@ -266,9 +258,6 @@ func (c *Client) execute(ctx context.Context, key, runID, method, path string, b
 	var lastErr error
 	runStart := time.Now()
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if err := c.breaker.allow(); err != nil {
-			return nil, 0, hedged, schema.TraceDoc{}, err
-		}
 		aSpan := root.Child("attempt")
 		aSpan.SetAttrUint("attempt", uint64(attempt+1))
 		aStart := time.Now()
@@ -281,13 +270,11 @@ func (c *Client) execute(ctx context.Context, key, runID, method, path string, b
 		}
 		aSpan.End()
 		if err == nil && !retryable(reply.status) {
-			c.breaker.report(true)
 			c.runUS.Observe(uint64(time.Since(runStart).Microseconds()))
 			root.SetAttrUint("attempts", uint64(attempt+1))
 			root.End()
 			return reply, attempt + 1, hedged, tr.Doc(), nil
 		}
-		c.breaker.report(false)
 		retryAfter := 0
 		if err != nil {
 			lastErr = err
@@ -346,18 +333,16 @@ type Reply struct {
 
 // Exchange performs one logical request under a caller-supplied
 // idempotency key, with the full resilience machinery of this client:
-// breaker gate, per-attempt timeouts, hedging, exponential backoff
-// with jitter and Retry-After floors. Because the key is the caller's,
-// a fleet front tier can pin one key to a whole failover chain — every
-// attempt, on every backend tried, names the same key, which is what
-// scopes "at most one execution per conclusive response" across
-// backend moves.
+// per-attempt timeouts, hedging, exponential backoff with jitter and
+// Retry-After floors. Because the key is the caller's, a fleet front
+// tier can pin one key to a whole failover chain — every attempt, on
+// every backend tried, names the same key, which is what scopes "at
+// most one execution per conclusive response" across backend moves.
 //
 // Any conclusive answer — 2xx or a non-retryable error status — comes
 // back as a *Reply with a nil error; retryable statuses (429/5xx) are
 // retried here and, when the attempt budget runs out, surface as an
-// error (so the caller can fail over). ErrCircuitOpen reports a
-// refusing breaker without touching the wire.
+// error (so the caller can fail over).
 func (c *Client) Exchange(ctx context.Context, key, runID, method, path string, body []byte) (*Reply, error) {
 	if key == "" {
 		key = c.nextKey()

@@ -2,7 +2,7 @@
 // specs against one compiled image (Batch), stream a batch's per-run
 // lifecycle events (StreamBatch), and persist/fetch compiled images in
 // the server's artifact store (PutImage/GetImage). Every method rides
-// the same hedging, breaker, backoff and idempotency machinery as Run,
+// the same hedging, backoff and idempotency machinery as Run,
 // so a retried batch never executes its runs twice.
 package client
 

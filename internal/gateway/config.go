@@ -8,8 +8,8 @@
 // per-backend state machine (healthy → degraded → ejected, half-open
 // re-admission), retry/failover onto the hash ring's next backend
 // through the per-backend resilient client (backoff, hedging,
-// breaker, idempotency keys), deterministic re-sharding on ejection
-// and re-admission, and shadow/mirror forwarding of a configurable
+// idempotency keys), deterministic re-sharding on ejection and
+// re-admission, and shadow/mirror forwarding of a configurable
 // fraction of live traffic to a canary backend whose responses are
 // diffed (never served) and reported through /metrics.
 //

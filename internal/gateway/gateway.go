@@ -25,10 +25,10 @@ type Gateway struct {
 	cfg    Config
 	ring   *ring
 	prober *prober
-	// clients maps backend URL to its resilient client: each backend
-	// gets the full machinery (backoff, hedging, breaker) and its own
-	// breaker state, so one sick backend cannot open the circuit of a
-	// healthy one.
+	// clients maps backend URL to its resilient client (backoff,
+	// hedging, idempotency keys). The client never refuses locally, so
+	// every failed exchange reaches the prober, the one failure
+	// detector per backend.
 	clients map[string]*client.Client
 	// sseClient is the plain transport leg for event-stream relays
 	// (no per-request timeout: streams outlive any attempt budget).
@@ -116,7 +116,6 @@ func New(cfg Config) (*Gateway, error) {
 			HTTPClient:     &http.Client{Transport: cfg.Transport},
 			MaxAttempts:    cfg.AttemptsPerBackend,
 			AttemptTimeout: time.Duration(cfg.AttemptTimeoutMS) * time.Millisecond,
-			Now:            cfg.Now,
 		})
 	}
 	probeTargets := append([]string(nil), cfg.Backends...)
@@ -469,14 +468,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the gateway's counters.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	breakerOf := func(b string) string {
-		if c := g.clients[b]; c != nil {
-			return c.BreakerState()
-		}
-		return ""
-	}
 	resp := schema.GatewayMetrics{
-		Backends:    g.prober.snapshot(breakerOf),
+		Backends:    g.prober.snapshot(),
 		Endpoints:   g.endpointSnapshot(),
 		Retries:     g.retries.Load(),
 		Failovers:   g.failovers.Load(),

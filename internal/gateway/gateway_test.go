@@ -193,77 +193,90 @@ func TestGatewayByteIdentity(t *testing.T) {
 	}
 }
 
-// TestGatewayFailover: the backend owning a key is killed; the next
-// request fails over to the ring's next backend, answers 200 with the
-// same bytes a healthy fleet would serve, and the dead backend is
-// ejected by the live traffic that found it.
+// TestGatewayFailover: the backend owning a key is killed; each of the
+// next EjectAfter requests fails over to the ring's next backend and
+// answers 200 with the same bytes a healthy fleet would serve, and the
+// dead backend is ejected by the live traffic that found it. The
+// default row retries the dead backend AttemptsPerBackend times per
+// request, so every one of those failures has to reach the prober.
 func TestGatewayFailover(t *testing.T) {
-	b1 := newBackend(t, service.Config{Workers: 2})
-	b2 := newBackend(t, service.Config{Workers: 2})
-	backends := map[string]*httptest.Server{b1.URL: b1, b2.URL: b2}
-	g, ts, tr := newTestGateway(t, Config{
-		Backends:           []string{b1.URL, b2.URL},
-		AttemptsPerBackend: 1,
-		EjectAfter:         1,
-	})
-	// The leak baseline includes the fixture servers and probe loop;
-	// everything the traffic below spawns must be gone by the end.
-	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"eject-after-1", Config{AttemptsPerBackend: 1, EjectAfter: 1}},
+		{"defaults", Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b1 := newBackend(t, service.Config{Workers: 2})
+			b2 := newBackend(t, service.Config{Workers: 2})
+			backends := map[string]*httptest.Server{b1.URL: b1, b2.URL: b2}
+			cfg := tc.cfg
+			cfg.Backends = []string{b1.URL, b2.URL}
+			g, ts, tr := newTestGateway(t, cfg)
+			// The leak baseline includes the fixture servers and probe
+			// loop; everything the traffic below spawns must be gone by
+			// the end.
+			before := runtime.NumGoroutine()
 
-	body := mustRunBody(t)
-	var req schema.RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		t.Fatal(err)
-	}
-	order := g.ring.order(shardKey(req.ImageDigest, req.Source, req.Asm, req.Harden, req.Optimize))
-	dead, survivor := order[0], order[1]
+			body := mustRunBody(t)
+			var req schema.RunRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			order := g.ring.order(shardKey(req.ImageDigest, req.Source, req.Asm, req.Harden, req.Optimize))
+			dead, survivor := order[0], order[1]
 
-	// Baseline: the healthy owner serves.
-	status, _, want := postRaw(t, ts.URL+"/v1/run", body, nil)
-	if status != http.StatusOK {
-		t.Fatalf("baseline status = %d", status)
-	}
+			// Baseline: the healthy owner serves.
+			status, _, want := postRaw(t, ts.URL+"/v1/run", body, nil)
+			if status != http.StatusOK {
+				t.Fatalf("baseline status = %d", status)
+			}
 
-	backends[dead].Close()
+			backends[dead].Close()
 
-	status, hdr, got := postRaw(t, ts.URL+"/v1/run", body, nil)
-	if status != http.StatusOK {
-		t.Fatalf("failover status = %d: %s", status, got)
-	}
-	if hdr.Get("Roload-Gateway-Backend") != survivor {
-		t.Errorf("served by %q, want survivor %q", hdr.Get("Roload-Gateway-Backend"), survivor)
-	}
-	if hdr.Get("Roload-Gateway-Attempts") != "2" {
-		t.Errorf("attempts header = %q, want 2 (dead try + survivor)", hdr.Get("Roload-Gateway-Attempts"))
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("failover body diverges from baseline:\n%s\nvs\n%s", got, want)
-	}
-	if g.failovers.Load() == 0 {
-		t.Error("failover counter did not move")
-	}
-	// The transport failure ejected the dead backend (EjectAfter: 1), so
-	// the next request goes straight to the survivor.
-	if s := g.prober.stateOf(dead); s != stateEjected {
-		t.Errorf("dead backend state = %s, want ejected", s)
-	}
-	_, hdr, _ = postRaw(t, ts.URL+"/v1/run", body, nil)
-	if hdr.Get("Roload-Gateway-Attempts") != "1" {
-		t.Errorf("post-ejection attempts = %q, want 1", hdr.Get("Roload-Gateway-Attempts"))
-	}
+			for i := 0; i < g.cfg.EjectAfter; i++ {
+				status, hdr, got := postRaw(t, ts.URL+"/v1/run", body, nil)
+				if status != http.StatusOK {
+					t.Fatalf("failover #%d status = %d: %s", i, status, got)
+				}
+				if hdr.Get("Roload-Gateway-Backend") != survivor {
+					t.Errorf("failover #%d served by %q, want survivor %q", i, hdr.Get("Roload-Gateway-Backend"), survivor)
+				}
+				if hdr.Get("Roload-Gateway-Attempts") != "2" {
+					t.Errorf("failover #%d attempts header = %q, want 2 (dead try + survivor)", i, hdr.Get("Roload-Gateway-Attempts"))
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("failover #%d body diverges from baseline:\n%s\nvs\n%s", i, got, want)
+				}
+			}
+			if g.failovers.Load() == 0 {
+				t.Error("failover counter did not move")
+			}
+			// EjectAfter failed exchanges ejected the dead backend, so the
+			// next request goes straight to the survivor.
+			if s := g.prober.stateOf(dead); s != stateEjected {
+				t.Errorf("dead backend state = %s, want ejected", s)
+			}
+			_, hdr, _ := postRaw(t, ts.URL+"/v1/run", body, nil)
+			if hdr.Get("Roload-Gateway-Attempts") != "1" {
+				t.Errorf("post-ejection attempts = %q, want 1", hdr.Get("Roload-Gateway-Attempts"))
+			}
 
-	var metrics schema.GatewayMetrics
-	if status := getJSON(t, ts.URL+"/metrics", &metrics); status != http.StatusOK {
-		t.Fatalf("metrics status = %d", status)
-	}
-	if metrics.Failovers == 0 || metrics.Backends[dead].State != stateEjected {
-		t.Errorf("metrics = failovers %d, dead state %q", metrics.Failovers, metrics.Backends[dead].State)
-	}
+			var metrics schema.GatewayMetrics
+			if status := getJSON(t, ts.URL+"/metrics", &metrics); status != http.StatusOK {
+				t.Fatalf("metrics status = %d", status)
+			}
+			if metrics.Failovers == 0 || metrics.Backends[dead].State != stateEjected {
+				t.Errorf("metrics = failovers %d, dead state %q", metrics.Failovers, metrics.Backends[dead].State)
+			}
 
-	ts.Close()
-	g.Close()
-	tr.CloseIdleConnections()
-	checkGoroutines(t, before)
+			ts.Close()
+			g.Close()
+			tr.CloseIdleConnections()
+			checkGoroutines(t, before)
+		})
+	}
 }
 
 // TestGatewayIdempotencyPin: a keyed request whose serving backend
@@ -538,6 +551,61 @@ func TestGatewaySSEFailover(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
+// TestGatewaySSECancelNotFailure: a subscriber that hangs up while the
+// relay still waits for the backend's stream headers fails the relay's
+// request with its own canceled context. That is no evidence against
+// the backend: even with EjectAfter 1 it stays healthy.
+func TestGatewaySSECancelNotFailure(t *testing.T) {
+	const runID = "run-sse-cancel"
+	attached := make(chan struct{})
+	var once sync.Once
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(attached) })
+		<-r.Context().Done() // hold the stream headers until the relay leaves
+	}))
+	t.Cleanup(backend.Close)
+	g, ts, _ := newTestGateway(t, Config{Backends: []string{backend.URL}, EjectAfter: 1})
+	g.runs.Put(runID, backend.URL)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/runs/"+runID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-attached
+	cancel()
+	resp.Body.Close()
+
+	// Wait for the gateway's handler to return before reading the
+	// backend's health.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		var metrics schema.GatewayMetrics
+		getJSON(t, ts.URL+"/metrics", &metrics)
+		if metrics.Endpoints["events"].Requests > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("events handler never returned after the subscriber left")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := g.prober.stateOf(backend.URL); got != stateHealthy {
+		t.Errorf("subscriber cancel ejected a healthy backend: state = %s", got)
+	}
+	h := g.prober.backends[backend.URL]
+	h.mu.Lock()
+	failures := h.failures
+	h.mu.Unlock()
+	if failures != 0 {
+		t.Errorf("subscriber cancel recorded as backend failure: failures = %d", failures)
+	}
+}
+
 // TestGatewayClientCancelNotPinnedNotFailure: a client that hangs up
 // while the gateway is proxying must not (a) pin the never-written
 // default empty 200 under its Idempotency-Key — the retry must
@@ -592,6 +660,22 @@ func TestGatewayClientCancelNotPinnedNotFailure(t *testing.T) {
 	cancel()
 	if err := <-errc; err == nil {
 		t.Fatal("canceled request unexpectedly concluded")
+	}
+
+	// The abandoned request is counted as a 504 timeout, not a 200. The
+	// handler may still be unwinding, so wait for it to be counted.
+	var run schema.EndpointMetrics
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		var metrics schema.GatewayMetrics
+		getJSON(t, ts.URL+"/metrics", &metrics)
+		run = metrics.Endpoints["run"]
+		if run.Requests > 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if run.Requests != 1 || run.OK != 0 || run.Timeouts != 1 {
+		t.Errorf("endpoints.run = %+v, want 1 request, ok 0, timeouts 1", run)
 	}
 
 	// The retry re-executes (no empty-200 replay) and succeeds.

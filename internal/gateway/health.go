@@ -344,7 +344,7 @@ func (p *prober) split(order []string) []string {
 }
 
 // snapshot renders every backend's metrics row.
-func (p *prober) snapshot(breakerOf func(string) string) map[string]schema.GatewayBackend {
+func (p *prober) snapshot() map[string]schema.GatewayBackend {
 	out := make(map[string]schema.GatewayBackend, len(p.backends))
 	for b, h := range p.backends {
 		h.mu.Lock()
@@ -356,7 +356,6 @@ func (p *prober) snapshot(breakerOf func(string) string) map[string]schema.Gatew
 			Readmissions:  h.readmissions,
 			Proxied:       h.proxied,
 			Failures:      h.failures,
-			Breaker:       breakerOf(b),
 			QueueDepth:    h.queueDepth,
 			QueueCap:      h.queueCap,
 		}

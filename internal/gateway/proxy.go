@@ -112,7 +112,11 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, op p
 	tried := 0
 	for _, backend := range order {
 		if r.Context().Err() != nil {
-			return // client gone; nothing to answer
+			// The client is gone. Nobody reads the bare 504, but it logs
+			// and counts the request as abandoned instead of the default
+			// 200, and the idempotency layer never keeps a 5xx.
+			w.WriteHeader(http.StatusGatewayTimeout)
+			return
 		}
 		if tried > 0 {
 			g.failovers.Add(1)
@@ -131,7 +135,8 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, op p
 				// The client hung up mid-exchange: the error reflects our
 				// own canceled context, not backend health — it must not
 				// advance the ejection streak, and there is nobody left
-				// to fail over for.
+				// to fail over for (the bare 504 as above).
+				w.WriteHeader(http.StatusGatewayTimeout)
 				return
 			}
 			g.noteProxyError(backend, err)
@@ -183,12 +188,9 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, op p
 
 // noteProxyError classifies one failed backend exchange for the health
 // machine. Transport-level loss feeds ejection; an HTTP-level retry
-// exhaustion (the backend kept answering 5xx/429) and a refusing
-// breaker only count — probes own that signal.
+// exhaustion (the backend kept answering 5xx/429) only counts — probes
+// own that signal.
 func (g *Gateway) noteProxyError(backend string, err error) {
-	if errors.Is(err, client.ErrCircuitOpen) {
-		return // no new evidence: the breaker is already refusing
-	}
 	var apiErr *client.APIError
 	g.prober.noteProxyFailure(backend, err, !errors.As(err, &apiErr))
 }

@@ -93,7 +93,11 @@ func (g *Gateway) relayEvents(ctx context.Context, w http.ResponseWriter, fl htt
 	req.Header.Set("Accept", "text/event-stream")
 	resp, err := g.sseClient.Do(req)
 	if err != nil {
-		g.prober.noteProxyFailure(backend, err, true)
+		if ctx.Err() == nil {
+			// Only a failure of the backend is evidence against it, not
+			// one caused by the subscriber leaving or the gateway closing.
+			g.prober.noteProxyFailure(backend, err, true)
+		}
 		return false, err
 	}
 	defer resp.Body.Close()

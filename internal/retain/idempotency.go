@@ -7,11 +7,11 @@
 //
 // Only a conclusive response is stored: one the handler actually wrote,
 // whose status a resilient client does not retry. A 5xx, a shed
-// 429/503, a panic or a handler that wrote nothing (the client vanished
-// mid-proxy) aborts the entry, so the retry re-executes instead of
-// replaying the failure forever. Both tiers remember keys in a Memo,
-// at most 1024 of them, evicting the oldest first; an evicted key
-// re-executes, and execution is deterministic, so the bytes repeat.
+// 429/503, a panic or a handler that wrote nothing aborts the entry,
+// so the retry re-executes instead of replaying the failure forever.
+// Both tiers remember keys in a Memo, at most 1024 of them, evicting
+// the oldest first; an evicted key re-executes, and execution is
+// deterministic, so the bytes repeat.
 package retain
 
 import (

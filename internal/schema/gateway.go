@@ -36,8 +36,6 @@ type GatewayBackend struct {
 	// exhaustion) and moved on to the next backend.
 	Proxied  uint64 `json:"proxied"`
 	Failures uint64 `json:"failures"`
-	// Breaker is the per-backend client circuit breaker's state.
-	Breaker string `json:"breaker"`
 	// QueueDepth/QueueCap echo the backend's last healthz body, the
 	// load signal behind a degraded mark.
 	QueueDepth int `json:"queue_depth"`

@@ -345,10 +345,11 @@ func TestGofmtAndVet(t *testing.T) {
 	}
 }
 
-// TestPerfModuleBuilds compiles the benchmark harness. internal/perf
-// and cmd/roload-perf are nested modules, so go build ./... never
-// reaches them; a change to the tiers they drive must still keep them
-// building. Both modules resolve roload from this checkout, so the
+// TestPerfModuleBuilds compiles the benchmark harness and runs its
+// short tests. internal/perf and cmd/roload-perf are nested modules,
+// so go build ./... and go test ./... never reach them; a change to
+// the tiers they drive must still keep them building and their own
+// tests green. Both modules resolve roload from this checkout, so the
 // build needs no network.
 func TestPerfModuleBuilds(t *testing.T) {
 	if testing.Short() {
@@ -357,6 +358,7 @@ func TestPerfModuleBuilds(t *testing.T) {
 	env := append(os.Environ(), "GOPROXY=off", "GOWORK=off")
 	for _, args := range [][]string{
 		{"-C", "internal/perf", "vet", "./..."},
+		{"-C", "internal/perf", "test", "-short", "-count=1", "./..."},
 		{"-C", "cmd/roload-perf", "build", "-o", filepath.Join(t.TempDir(), "roload-perf"), "."},
 	} {
 		cmd := exec.Command("go", args...)
@@ -554,9 +556,9 @@ func TestChaosMatrixRace(t *testing.T) {
 	raceTest(t, "-run", "TestChaosMatrix", "roload/internal/fault")
 }
 
-// TestClientRace re-runs the resilient-client tests (circuit breaker,
-// hedged requests, concurrent exactly-once delivery) under the race
-// detector, like TestServiceRace does for the HTTP service.
+// TestClientRace re-runs the resilient-client tests (retries and
+// backoff, hedged requests, concurrent exactly-once delivery) under
+// the race detector, like TestServiceRace does for the HTTP service.
 func TestClientRace(t *testing.T) {
 	raceTest(t, "roload/internal/client")
 }
