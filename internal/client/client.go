@@ -476,8 +476,9 @@ func (c *Client) do(ctx context.Context, key, runID, parentSpan, method, path st
 		replayed: resp.Header.Get("Idempotency-Replayed") == "true",
 		retryHdr: resp.Header.Get("Retry-After"),
 	}
-	if err := json.Unmarshal(data, &reply.env); err != nil {
-		return nil, fmt.Errorf("client: undecodable %d response body: %w", resp.StatusCode, err)
-	}
+	// A body that is not an envelope (net/http's plain-text 404 for a
+	// route the server does not have) is still the server's answer: the
+	// status decides, and apiError reports the body as undecodable.
+	json.Unmarshal(data, &reply.env) //nolint:errcheck // see above
 	return reply, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -115,6 +116,54 @@ func TestHedgedRequestWinsAndCancelsStraggler(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestExchangeReplies pins the Exchange contract for answers that are
+// not roload-serve/v1 envelopes: a conclusive status is a Reply
+// whatever its body, and only a retryable one is retried into an error.
+func TestExchangeReplies(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		handler  http.HandlerFunc
+		status   int // the Reply's status; 0 = an error is expected
+		attempts int // tries made (Reply.Attempts, or requests served)
+		errKind  string
+	}{
+		{name: "plain-text-404", handler: http.NotFound, status: http.StatusNotFound, attempts: 1},
+		{name: "envelope-200", handler: func(w http.ResponseWriter, r *http.Request) { okEnvelope(w, "ok") },
+			status: http.StatusOK, attempts: 1},
+		{name: "plain-text-502", handler: func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "bad gateway", http.StatusBadGateway)
+		}, attempts: 3, errKind: "internal"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var served atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				served.Add(1)
+				tc.handler(w, r)
+			}))
+			defer ts.Close()
+			c := New(Config{BaseURL: ts.URL, MaxAttempts: 3, Sleep: noSleep})
+			reply, err := c.Exchange(context.Background(), "", "run-x", http.MethodGet, "/v1/images/d", nil)
+			if tc.status != 0 {
+				if err != nil {
+					t.Fatalf("Exchange: %v, want a %d reply", err, tc.status)
+				}
+				if reply.Status != tc.status || reply.Attempts != tc.attempts {
+					t.Errorf("reply status %d attempts %d, want %d and %d",
+						reply.Status, reply.Attempts, tc.status, tc.attempts)
+				}
+			} else {
+				var apiErr *APIError
+				if !errors.As(err, &apiErr) || apiErr.Kind != tc.errKind {
+					t.Fatalf("Exchange error = %v, want an APIError of kind %q", err, tc.errKind)
+				}
+			}
+			if got := served.Load(); got != int64(tc.attempts) {
+				t.Errorf("server saw %d requests, want %d", got, tc.attempts)
+			}
+		})
 	}
 }
 

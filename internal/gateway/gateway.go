@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
+	"net/url"
 	"sync/atomic"
 	"time"
 
 	"roload/internal/client"
+	"roload/internal/httpapi"
 	"roload/internal/retain"
 	"roload/internal/schema"
 	"roload/internal/telemetry"
@@ -52,8 +52,9 @@ type Gateway struct {
 	keyPrefix string
 	keySeq    atomic.Uint64
 
-	mu        sync.Mutex
-	endpoints map[string]*endpointCounters
+	// api is the request middleware: panic recovery, per-endpoint
+	// counters and latency, the request log line.
+	api *httpapi.Endpoints
 
 	retries   atomic.Uint64
 	failovers atomic.Uint64
@@ -75,10 +76,6 @@ type Gateway struct {
 
 // affinityCap bounds each of the run→backend and digest→backend maps.
 const affinityCap = 4096
-
-type endpointCounters struct {
-	requests, ok, errors4x, errors5x, timeouts atomic.Uint64
-}
 
 // New builds a Gateway over cfg's backend fleet and starts the probe
 // loop. Close stops it.
@@ -105,7 +102,7 @@ func New(cfg Config) (*Gateway, error) {
 		probeDone: make(chan struct{}),
 		start:     time.Now(),
 		keyPrefix: "gw-" + hex.EncodeToString(prefix[:]),
-		endpoints: make(map[string]*endpointCounters),
+		api:       httpapi.NewEndpoints(cfg.Logger),
 		replCh:    make(chan replJob, 256),
 		replDone:  make(chan struct{}),
 		replHTTP:  &http.Client{Transport: cfg.Transport},
@@ -138,18 +135,18 @@ func New(cfg Config) (*Gateway, error) {
 // surface plus the gateway's own /healthz and /metrics.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", g.logged("run", g.idem.Wrap(g.handleRun("/v1/run"))))
-	mux.HandleFunc("POST /v1/runs", g.logged("runs", g.idem.Wrap(g.handleRun("/v1/runs"))))
-	mux.HandleFunc("GET /v1/runs/{id}", g.logged("run-result", g.handleRunGet))
-	mux.HandleFunc("POST /v1/batch", g.logged("batch", g.idem.Wrap(g.handleBatch)))
-	mux.HandleFunc("POST /v1/images", g.logged("images", g.idem.Wrap(g.handleImagePut)))
-	mux.HandleFunc("GET /v1/images/{digest}", g.logged("image", imageKind(g.handleStoreGet)))
-	mux.HandleFunc("GET /v1/store/{kind}/{digest}", g.logged("store-get", g.handleStoreGet))
-	mux.HandleFunc("PUT /v1/store/{kind}/{digest}", g.logged("store-put", g.handleStorePut))
-	mux.HandleFunc("GET /v1/runs/{id}/events", g.logged("events", g.handleEvents))
-	mux.HandleFunc("GET /v1/runs/{id}/trace", g.logged("trace", g.handleTrace))
-	mux.HandleFunc("GET /healthz", g.logged("healthz", g.handleHealthz))
-	mux.HandleFunc("GET /metrics", g.logged("metrics", g.handleMetrics))
+	mux.HandleFunc("POST /v1/run", g.api.Wrap("run", g.idem.Wrap(g.handleRun("/v1/run"))))
+	mux.HandleFunc("POST /v1/runs", g.api.Wrap("runs", g.idem.Wrap(g.handleRun("/v1/runs"))))
+	mux.HandleFunc("GET /v1/runs/{id}", g.api.Wrap("run-result", g.handleRunGet))
+	mux.HandleFunc("POST /v1/batch", g.api.Wrap("batch", g.idem.Wrap(g.handleBatch)))
+	mux.HandleFunc("POST /v1/images", g.api.Wrap("images", g.idem.Wrap(g.handleImagePut)))
+	mux.HandleFunc("GET /v1/images/{digest}", g.api.Wrap("image", imageKind(g.handleStoreGet)))
+	mux.HandleFunc("GET /v1/store/{kind}/{digest}", g.api.Wrap("store-get", g.handleStoreGet))
+	mux.HandleFunc("PUT /v1/store/{kind}/{digest}", g.api.Wrap("store-put", g.handleStorePut))
+	mux.HandleFunc("GET /v1/runs/{id}/events", g.api.Wrap("events", g.handleEvents))
+	mux.HandleFunc("GET /v1/runs/{id}/trace", g.api.Wrap("trace", g.handleTrace))
+	mux.HandleFunc("GET /healthz", g.api.Wrap("healthz", g.handleHealthz))
+	mux.HandleFunc("GET /metrics", g.api.Wrap("metrics", g.handleMetrics))
 	return mux
 }
 
@@ -178,15 +175,6 @@ func (g *Gateway) mintKey() string {
 	return fmt.Sprintf("%s-%d", g.keyPrefix, g.keySeq.Add(1))
 }
 
-// runIDFor adopts the client's run id (subscribe-before-post) or
-// mints one.
-func runIDFor(r *http.Request) string {
-	if id := r.Header.Get("Roload-Trace"); telemetry.ValidRunID(id) {
-		return id
-	}
-	return telemetry.NewRunID()
-}
-
 // readBody slurps the request body under the configured cap.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
@@ -212,6 +200,7 @@ func (g *Gateway) rejectDraining(w http.ResponseWriter) bool {
 // the event stream, and mirror successful answers.
 func (g *Gateway) handleRun(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		runID := httpapi.AdoptRunID(r)
 		if g.rejectDraining(w) {
 			return
 		}
@@ -236,7 +225,7 @@ func (g *Gateway) handleRun(path string) http.HandlerFunc {
 			method:   http.MethodPost,
 			path:     path,
 			body:     body,
-			runID:    runIDFor(r),
+			runID:    runID,
 			affinity: affinity,
 			// The run's artifacts (checkpoints, heal reports) replicate
 			// to the shard key's ring successors, named per attempt in
@@ -259,6 +248,7 @@ func (g *Gateway) handleRun(path string) http.HandlerFunc {
 // handleBatch proxies POST /v1/batch, routed like a run by the batch's
 // shared compile group.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
+	runID := httpapi.AdoptRunID(r)
 	if g.rejectDraining(w) {
 		return
 	}
@@ -281,7 +271,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		method:        http.MethodPost,
 		path:          "/v1/batch",
 		body:          body,
-		runID:         runIDFor(r),
+		runID:         runID,
 		affinity:      affinity,
 		retryNotFound: req.ImageDigest != "",
 		storePeers:    g.replicaTargets(key),
@@ -338,7 +328,7 @@ func (g *Gateway) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	g.proxy(w, r, digest, proxyOp{
 		endpoint:      "store-get",
 		method:        http.MethodGet,
-		path:          "/v1/store/" + kind + "/" + digest,
+		path:          "/v1/store/" + url.PathEscape(kind) + "/" + url.PathEscape(digest),
 		affinity:      affinity,
 		retryNotFound: true,
 		onRepair: func(missed []string, reply *client.Reply) {
@@ -382,7 +372,7 @@ func (g *Gateway) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	g.proxy(w, r, digest, proxyOp{
 		endpoint: "store-put",
 		method:   http.MethodPut,
-		path:     "/v1/store/" + kind + "/" + digest,
+		path:     "/v1/store/" + url.PathEscape(kind) + "/" + url.PathEscape(digest),
 		body:     body,
 		onSuccess: func(backend string, reply *client.Reply) {
 			if reply.Status >= 300 {
@@ -405,11 +395,12 @@ func (g *Gateway) handleStorePut(w http.ResponseWriter, r *http.Request) {
 // ring order with 404 fall-through (the run may have re-homed).
 func (g *Gateway) handleRunGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	httpapi.SetRunID(r.Context(), id)
 	affinity, _ := g.runs.Get(id)
 	g.proxy(w, r, id, proxyOp{
 		endpoint:      "run-result",
 		method:        http.MethodGet,
-		path:          "/v1/runs/" + id,
+		path:          "/v1/runs/" + url.PathEscape(id),
 		affinity:      affinity,
 		retryNotFound: true,
 	})
@@ -418,11 +409,12 @@ func (g *Gateway) handleRunGet(w http.ResponseWriter, r *http.Request) {
 // handleTrace proxies GET /v1/runs/{id}/trace like handleRunGet.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	httpapi.SetRunID(r.Context(), id)
 	affinity, _ := g.runs.Get(id)
 	g.proxy(w, r, id, proxyOp{
 		endpoint:      "trace",
 		method:        http.MethodGet,
-		path:          "/v1/runs/" + id + "/trace",
+		path:          "/v1/runs/" + url.PathEscape(id) + "/trace",
 		affinity:      affinity,
 		retryNotFound: true,
 	})
@@ -463,14 +455,13 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Status = "ok"
 	}
-	writeGatewayEnvelope(w, status, resp)
+	httpapi.WriteEnvelope(w, status, resp)
 }
 
 // handleMetrics renders the gateway's counters.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := schema.GatewayMetrics{
 		Backends:    g.prober.snapshot(),
-		Endpoints:   g.endpointSnapshot(),
 		Retries:     g.retries.Load(),
 		Failovers:   g.failovers.Load(),
 		NoBackend:   g.noBackend.Load(),
@@ -489,100 +480,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		UptimeSec:      time.Since(g.start).Seconds(),
 		Draining:       g.draining.Load(),
 	}
-	writeGatewayEnvelope(w, http.StatusOK, resp)
-}
-
-// counters returns the per-endpoint counter block, creating it on
-// first use.
-func (g *Gateway) counters(name string) *endpointCounters {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c := g.endpoints[name]
-	if c == nil {
-		c = &endpointCounters{}
-		g.endpoints[name] = c
-	}
-	return c
-}
-
-func (g *Gateway) endpointSnapshot() map[string]schema.EndpointMetrics {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]schema.EndpointMetrics, len(g.endpoints))
-	for name, c := range g.endpoints {
-		out[name] = schema.EndpointMetrics{
-			Requests: c.requests.Load(),
-			OK:       c.ok.Load(),
-			Errors4x: c.errors4x.Load(),
-			Errors5x: c.errors5x.Load(),
-			Timeouts: c.timeouts.Load(),
-		}
-	}
-	return out
-}
-
-// statusWriter captures the response status for counters and logging.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards so SSE relays stream through the middleware.
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// logged wraps a handler with counters and one structured log line per
-// request.
-func (g *Gateway) logged(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		elapsed := time.Since(start)
-		c := g.counters(name)
-		c.requests.Add(1)
-		switch {
-		case sw.status < 400:
-			c.ok.Add(1)
-		case sw.status < 500:
-			c.errors4x.Add(1)
-		default:
-			c.errors5x.Add(1)
-			if sw.status == http.StatusGatewayTimeout {
-				c.timeouts.Add(1)
-			}
-		}
-		g.cfg.Logger.Info("gateway request",
-			"endpoint", name,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"dur", elapsed,
-		)
-	}
-}
-
-// writeGatewayEnvelope writes a roload-serve/v1 envelope — the gateway
-// speaks the same wire dialect as the backends it fronts.
-func writeGatewayEnvelope(w http.ResponseWriter, status int, payload any) {
-	env, err := schema.Wrap(schema.ServeV1, payload)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(env) //nolint:errcheck // client gone: nothing to report to
+	resp.Endpoints, resp.EndpointLatencyUS = g.api.Snapshot()
+	httpapi.WriteEnvelope(w, http.StatusOK, resp)
 }
 
 // gwError writes a structured error in the serve error shape, with
@@ -591,7 +490,6 @@ func gwError(w http.ResponseWriter, status int, kind, msg string) {
 	body := schema.ErrorResponse{Error: msg, Kind: kind}
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
 		body.RetryAfterSec = 1
-		w.Header().Set("Retry-After", strconv.Itoa(body.RetryAfterSec))
 	}
-	writeGatewayEnvelope(w, status, body)
+	httpapi.WriteError(w, status, body)
 }

@@ -854,3 +854,138 @@ func TestGatewayValidation(t *testing.T) {
 		t.Errorf("invalid run id events status = %d", resp.StatusCode)
 	}
 }
+
+// panicOnRun is a transport that panics on every POST /v1/run and
+// passes everything else (probes included) through.
+type panicOnRun struct{ http.RoundTripper }
+
+func (p panicOnRun) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/run" {
+		panic("injected transport panic")
+	}
+	return p.RoundTripper.RoundTrip(r)
+}
+
+// TestGatewayPanicRecovered: a panicking gateway handler answers a
+// structured 500 of kind panic that names the run, and the request is
+// counted and timed like any other.
+func TestGatewayPanicRecovered(t *testing.T) {
+	b1 := newBackend(t, service.Config{Workers: 1})
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	_, ts, _ := newTestGateway(t, Config{Backends: []string{b1.URL}, Transport: panicOnRun{tr}})
+
+	status, _, out := postRaw(t, ts.URL+"/v1/run", mustRunBody(t), map[string]string{"Roload-Trace": "run-gw-panic"})
+	if status != http.StatusInternalServerError {
+		t.Fatalf("status = %d: %s", status, out)
+	}
+	var env schema.Envelope
+	var apiErr schema.ErrorResponse
+	if err := json.Unmarshal(out, &env); err != nil {
+		t.Fatalf("undecodable panic answer %q: %v", out, err)
+	}
+	if err := env.Open(schema.ServeV1, &apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if apiErr.Kind != "panic" || apiErr.RunID != "run-gw-panic" {
+		t.Errorf("panic answer = %+v, want kind panic naming run-gw-panic", apiErr)
+	}
+
+	var metrics schema.GatewayMetrics
+	getJSON(t, ts.URL+"/metrics", &metrics)
+	if got := metrics.Endpoints["run"]; got.Requests != 1 || got.Errors5x != 1 {
+		t.Errorf("endpoints.run = %+v, want one request counted as 5xx", got)
+	}
+	if got := metrics.EndpointLatencyUS["run"]; got.Count != 1 {
+		t.Errorf("endpoint_latency_us.run = %+v, want one observation", got)
+	}
+}
+
+// errorKind returns the status of an answer and, when its body is a
+// roload-serve/v1 error envelope, the error kind ("" otherwise).
+func errorKind(t *testing.T, method, url string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env schema.Envelope
+	var apiErr schema.ErrorResponse
+	if json.Unmarshal(data, &env) == nil && env.Open(schema.ServeV1, &apiErr) == nil {
+		return resp.StatusCode, apiErr.Kind
+	}
+	return resp.StatusCode, ""
+}
+
+// TestGatewayEscapedPaths: path values that decode to "../" segments
+// reach the backend escaped, so the gateway answers exactly what the
+// backend answers when asked directly, and a healthy backend is not
+// ejected for them.
+func TestGatewayEscapedPaths(t *testing.T) {
+	b1 := newBackend(t, service.Config{Workers: 1, StoreDir: t.TempDir()})
+	b2 := newBackend(t, service.Config{Workers: 1, StoreDir: t.TempDir()})
+	g, ts, _ := newTestGateway(t, Config{Backends: []string{b1.URL, b2.URL}})
+
+	for _, tc := range []struct{ name, method, path string }{
+		{"run-result", http.MethodGet, "/v1/runs/..%2F..%2Fmetrics"},
+		{"trace", http.MethodGet, "/v1/runs/..%2F..%2Fnope/trace"},
+		{"image", http.MethodGet, "/v1/images/..%2F..%2Fmetrics"},
+		{"store-get", http.MethodGet, "/v1/store/roload-image/..%2F..%2Fmetrics"},
+		{"store-get-kind", http.MethodGet, "/v1/store/..%2F..%2Fmetrics/x"},
+		{"store-put", http.MethodPut, "/v1/store/roload-image/..%2F..%2Fmetrics"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus, wantKind := errorKind(t, tc.method, b1.URL+tc.path)
+			if wantStatus < 400 || wantKind == "" {
+				t.Fatalf("backend answered %s %s directly with %d %q, want a structured error",
+					tc.method, tc.path, wantStatus, wantKind)
+			}
+			for i := 0; i <= g.cfg.EjectAfter; i++ {
+				status, kind := errorKind(t, tc.method, ts.URL+tc.path)
+				if status != wantStatus || kind != wantKind {
+					t.Fatalf("request %d: gateway answered %d %q, backend directly %d %q",
+						i+1, status, kind, wantStatus, wantKind)
+				}
+			}
+			for _, b := range []string{b1.URL, b2.URL} {
+				if got := g.prober.stateOf(b); got != stateHealthy {
+					t.Errorf("backend %s is %s after escaped-path requests", b, got)
+				}
+			}
+		})
+	}
+}
+
+// TestGatewayStorelessFleet: backends running without a store answer
+// net/http's plain-text 404 for the store routes. That is an answer,
+// not a backend failure: the gateway serves the 404, and the fleet
+// stays healthy for the next run.
+func TestGatewayStorelessFleet(t *testing.T) {
+	b1 := newBackend(t, service.Config{Workers: 1})
+	b2 := newBackend(t, service.Config{Workers: 1})
+	g, ts, _ := newTestGateway(t, Config{Backends: []string{b1.URL, b2.URL}})
+
+	digest := "sha256:" + strings.Repeat("0", 64)
+	for i := 0; i <= g.cfg.EjectAfter; i++ {
+		if status, _ := errorKind(t, http.MethodGet, ts.URL+"/v1/images/"+digest); status != http.StatusNotFound {
+			t.Fatalf("request %d: status = %d, want 404", i+1, status)
+		}
+	}
+	for _, b := range []string{b1.URL, b2.URL} {
+		if got := g.prober.stateOf(b); got != stateHealthy {
+			t.Errorf("backend %s is %s after store-less 404s", b, got)
+		}
+	}
+	if status, _, out := postRaw(t, ts.URL+"/v1/run", mustRunBody(t), nil); status != http.StatusOK {
+		t.Errorf("run after store-less 404s: status = %d: %s", status, out)
+	}
+}

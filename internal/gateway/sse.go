@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"roload/internal/httpapi"
 	"roload/internal/schema"
 	"roload/internal/telemetry"
 )
@@ -36,6 +37,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusBadRequest, "validation", fmt.Sprintf("invalid run id %q", id))
 		return
 	}
+	httpapi.SetRunID(r.Context(), id)
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		gwError(w, http.StatusInternalServerError, "internal", "response writer cannot stream")

@@ -24,6 +24,7 @@ import (
 	"roload/internal/mem"
 	"roload/internal/mmu"
 	"roload/internal/obs"
+	"roload/internal/schema"
 )
 
 // Signal numbers delivered on fatal traps.
@@ -385,11 +386,11 @@ func (p *Process) CorruptUint(va uint64, v uint64, n int) error {
 // Stdout returns output written so far.
 func (p *Process) Stdout() []byte { return p.stdout.Bytes() }
 
-// Snapshot converts the run result into the unified obs metrics
+// Snapshot converts the run result into the unified roload-metrics/v1
 // document. system labels which of the paper's three configurations
 // produced it (e.g. core.SystemKind.String()).
-func (r RunResult) Snapshot(system string) obs.Snapshot {
-	snap := obs.Snapshot{
+func (r RunResult) Snapshot(system string) schema.Snapshot {
+	snap := schema.Snapshot{
 		System:          system,
 		Exited:          r.Exited,
 		ExitCode:        r.Code,
@@ -400,7 +401,7 @@ func (r RunResult) Snapshot(system string) obs.Snapshot {
 		Instret:         r.Instret,
 		MemPeakKiB:      r.MemPeakKiB,
 		Syscalls:        r.SyscallCnt,
-		CPU: obs.CPUCounters{
+		CPU: schema.CPUCounters{
 			Instructions: r.CPUStats.Instructions,
 			Loads:        r.CPUStats.Loads,
 			Stores:       r.CPUStats.Stores,
@@ -423,8 +424,8 @@ func (r RunResult) Snapshot(system string) obs.Snapshot {
 	return snap
 }
 
-func mmuCounters(s mmu.Stats) obs.MMUCounters {
-	return obs.MMUCounters{
+func mmuCounters(s mmu.Stats) schema.MMUCounters {
+	return schema.MMUCounters{
 		TLBHits:    s.TLBHits,
 		TLBMisses:  s.TLBMisses,
 		PageWalks:  s.PageWalks,
@@ -433,6 +434,6 @@ func mmuCounters(s mmu.Stats) obs.MMUCounters {
 	}
 }
 
-func cacheCounters(s cache.Stats) obs.CacheCounters {
-	return obs.CacheCounters{Hits: s.Hits, Misses: s.Misses, MissRate: s.MissRate()}
+func cacheCounters(s cache.Stats) schema.CacheCounters {
+	return schema.CacheCounters{Hits: s.Hits, Misses: s.Misses, MissRate: s.MissRate()}
 }

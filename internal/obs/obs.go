@@ -1,7 +1,8 @@
 // Package obs is the execution-observability layer of the ROLoad
 // prototype: typed event probes, a cycle profiler, a bounded trace
-// recorder with a Chrome trace-event exporter, a ROLoad fault audit
-// log, and a unified machine-readable metrics snapshot.
+// recorder with a Chrome trace-event exporter, and a ROLoad fault
+// audit log. The machine-readable metrics snapshot is
+// schema.Snapshot.
 //
 // The layer is strictly zero-cost when disabled: every emission site
 // in internal/cpu, internal/mmu, internal/cache and internal/kernel is

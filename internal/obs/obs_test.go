@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"roload/internal/isa"
+	"roload/internal/schema"
 )
 
 func TestSymTableLocate(t *testing.T) {
@@ -270,11 +271,11 @@ func TestAuditText(t *testing.T) {
 }
 
 func TestSnapshotJSON(t *testing.T) {
-	s := &Snapshot{
+	s := &schema.Snapshot{
 		System: "processor+kernel-modified",
 		Exited: true, Cycles: 1000, Instret: 800,
-		CPU:    CPUCounters{Instructions: 800, ROLoads: 5},
-		DCache: CacheCounters{Hits: 90, Misses: 10, MissRate: 0.1},
+		CPU:    schema.CPUCounters{Instructions: 800, ROLoads: 5},
+		DCache: schema.CacheCounters{Hits: 90, Misses: 10, MissRate: 0.1},
 	}
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
@@ -284,7 +285,7 @@ func TestSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if back["schema"] != SnapshotSchema {
+	if back["schema"] != schema.MetricsV1 {
 		t.Errorf("schema = %v", back["schema"])
 	}
 	for _, key := range []string{"system", "cycles", "instret", "cpu", "itlb", "dtlb", "icache", "dcache"} {

@@ -85,6 +85,9 @@ type GatewayMetrics struct {
 	Backends map[string]GatewayBackend `json:"backends"`
 	// Endpoints counts gateway requests by outcome, per endpoint.
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
+	// EndpointLatencyUS histograms whole-request latency per endpoint
+	// (microseconds).
+	EndpointLatencyUS map[string]Histogram `json:"endpoint_latency_us,omitempty"`
 	// Retries counts backend attempts beyond a request's first;
 	// Failovers counts moves to a different backend after a failed
 	// one; NoBackend counts requests answered 503 because no admitted

@@ -17,6 +17,7 @@ import (
 	"roload/internal/asm"
 	"roload/internal/core"
 	"roload/internal/fault"
+	"roload/internal/httpapi"
 	"roload/internal/kernel"
 	"roload/internal/schema"
 	"roload/internal/telemetry"
@@ -89,11 +90,11 @@ func (s *Server) handleChaosSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.chaos.arm(req)
-	writeEnvelope(w, http.StatusOK, s.chaos.snapshot())
+	httpapi.WriteEnvelope(w, http.StatusOK, s.chaos.snapshot())
 }
 
 func (s *Server) handleChaosGet(w http.ResponseWriter, r *http.Request) {
-	writeEnvelope(w, http.StatusOK, s.chaos.snapshot())
+	httpapi.WriteEnvelope(w, http.StatusOK, s.chaos.snapshot())
 }
 
 // degraded reports whether the service should advertise itself as
@@ -106,8 +107,8 @@ func (s *Server) degraded() (bool, int) {
 	if s.cfg.Chaos && s.chaos.armed() {
 		return true, int((window + time.Second - 1) / time.Second)
 	}
-	if last := s.lastPanic.Load(); last != 0 {
-		left := window - time.Since(time.Unix(0, last))
+	if last := s.api.LastPanic(); !last.IsZero() {
+		left := window - time.Since(last)
 		if left > 0 {
 			secs := int((left + time.Second - 1) / time.Second)
 			return true, secs

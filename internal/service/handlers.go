@@ -22,6 +22,7 @@ import (
 	"roload/internal/cli"
 	"roload/internal/core"
 	"roload/internal/eval"
+	"roload/internal/httpapi"
 	"roload/internal/kernel"
 	"roload/internal/redundant"
 	"roload/internal/schema"
@@ -425,11 +426,7 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, endpoint strin
 	// server mints the id. The id travels back in the Roload-Trace
 	// response header, never in a success body, so responses stay
 	// byte-identical to the CLI tools' output.
-	runID := r.Header.Get("Roload-Trace")
-	if !telemetry.ValidRunID(runID) {
-		runID = telemetry.NewRunID()
-	}
-	runInfoFrom(r.Context()).set(runID)
+	runID := httpapi.AdoptRunID(r)
 	trace := telemetry.NewTrace(runID, "s")
 	reqSpan := trace.Start("request", r.Header.Get("Roload-Trace-Parent"))
 	reqSpan.SetAttr("endpoint", endpoint)
@@ -439,8 +436,12 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, endpoint strin
 	// span document lands in the trace registry, the rendered answer
 	// lands in the result registry (for GET /v1/runs/{id}), and the
 	// terminal event — carrying the exact response bytes — closes the
-	// event stream.
+	// event stream. A nil body is an answer that could not be rendered:
+	// httpapi sent a plain 500 instead.
 	finishRun := func(status int, body []byte) {
+		if body == nil {
+			status = http.StatusInternalServerError
+		}
 		reqSpan.SetAttrUint("status", uint64(status))
 		reqSpan.End()
 		s.traces.Put(runID, trace.Doc())
@@ -456,18 +457,8 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, endpoint strin
 	// the run.
 	fail := func(apiErr *apiError) {
 		apiErr.body.RunID = runID
-		body, err := renderEnvelope(apiErr.body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			finishRun(http.StatusInternalServerError, nil)
-			return
-		}
-		if apiErr.body.RetryAfterSec > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(apiErr.body.RetryAfterSec))
-		}
 		w.Header().Set("Roload-Trace", runID)
-		writeRendered(w, apiErr.status, body)
-		finishRun(apiErr.status, body)
+		finishRun(apiErr.status, httpapi.WriteError(w, apiErr.status, apiErr.body))
 	}
 
 	var req schema.RunRequest
@@ -542,20 +533,13 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, endpoint strin
 		fail(apiErr)
 		return
 	}
-	body, rerr := renderEnvelope(resp)
-	if rerr != nil {
-		http.Error(w, rerr.Error(), http.StatusInternalServerError)
-		finishRun(http.StatusInternalServerError, nil)
-		return
-	}
 	status := http.StatusOK
 	if created {
 		w.Header().Set("Location", "/v1/runs/"+runID)
 		status = http.StatusCreated
 	}
 	w.Header().Set("Roload-Trace", runID)
-	writeRendered(w, status, body)
-	finishRun(status, body)
+	finishRun(status, httpapi.WriteEnvelope(w, status, resp))
 }
 
 // handleRunGet is GET /v1/runs/{id}: the stored rendered result of a
@@ -567,7 +551,7 @@ func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 		validationError(fmt.Sprintf("invalid run id %q", id)).write(w)
 		return
 	}
-	runInfoFrom(r.Context()).set(id)
+	httpapi.SetRunID(r.Context(), id)
 	res, ok := s.results.Get(id)
 	if !ok {
 		apiErr := notFoundError(fmt.Sprintf("no stored result for run %q (results are retained for the last %d runs)", id, s.results.Cap()))
@@ -580,7 +564,7 @@ func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	w.Header().Set("Roload-Trace", id)
-	writeRendered(w, status, res.body)
+	httpapi.WriteRendered(w, status, res.body)
 }
 
 // handleBatch is POST /v1/batch: many run specs against one compile
@@ -591,17 +575,17 @@ func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 // report whose per-run bodies are byte-identical to the equivalent
 // individual POST /v1/run answers.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	batchID := r.Header.Get("Roload-Trace")
-	if !telemetry.ValidRunID(batchID) {
-		batchID = telemetry.NewRunID()
-	}
-	runInfoFrom(r.Context()).set(batchID)
+	batchID := httpapi.AdoptRunID(r)
 	trace := telemetry.NewTrace(batchID, "s")
 	reqSpan := trace.Start("request", r.Header.Get("Roload-Trace-Parent"))
 	reqSpan.SetAttr("endpoint", "batch")
 	sink := s.broker.Sink(batchID)
 
+	// finishBatch seals the batch like finishRun seals a run.
 	finishBatch := func(status int, body []byte) {
+		if body == nil {
+			status = http.StatusInternalServerError
+		}
 		reqSpan.SetAttrUint("status", uint64(status))
 		reqSpan.End()
 		s.traces.Put(batchID, trace.Doc())
@@ -614,18 +598,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	fail := func(apiErr *apiError) {
 		apiErr.body.RunID = batchID
-		body, err := renderEnvelope(apiErr.body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			finishBatch(http.StatusInternalServerError, nil)
-			return
-		}
-		if apiErr.body.RetryAfterSec > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(apiErr.body.RetryAfterSec))
-		}
 		w.Header().Set("Roload-Trace", batchID)
-		writeRendered(w, apiErr.status, body)
-		finishBatch(apiErr.status, body)
+		finishBatch(apiErr.status, httpapi.WriteError(w, apiErr.status, apiErr.body))
 	}
 
 	var req schema.BatchRequest
@@ -802,9 +776,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if runErr != nil {
 			runErr.body.RunID = runID
 			status = runErr.status
-			body, _ = renderEnvelope(runErr.body)
+			body, _ = httpapi.Render(runErr.body)
 		} else {
-			body, _ = renderEnvelope(resp)
+			body, _ = httpapi.Render(resp)
 		}
 		runSpan.SetAttrUint("status", uint64(status))
 		runSpan.End()
@@ -845,15 +819,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.putReplicated(peers, schema.BatchV1, store.Digest(raw), raw) //nolint:errcheck
 		}
 	}
-	body, rerr := renderEnvelope(report)
-	if rerr != nil {
-		http.Error(w, rerr.Error(), http.StatusInternalServerError)
-		finishBatch(http.StatusInternalServerError, nil)
-		return
-	}
 	w.Header().Set("Roload-Trace", batchID)
-	writeRendered(w, http.StatusOK, body)
-	finishBatch(http.StatusOK, body)
+	finishBatch(http.StatusOK, httpapi.WriteEnvelope(w, http.StatusOK, report))
 }
 
 // handleImagePut is POST /v1/images (routed only with -store): compile
@@ -921,7 +888,7 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	if !added {
 		status = http.StatusOK
 	}
-	writeEnvelope(w, status, schema.ImageResponse{Digest: doc.Digest, Reused: !added})
+	httpapi.WriteEnvelope(w, status, schema.ImageResponse{Digest: doc.Digest, Reused: !added})
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -960,7 +927,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		compileError(err).write(w)
 		return
 	}
-	writeEnvelope(w, http.StatusOK, schema.CompileResponse{Text: text})
+	httpapi.WriteEnvelope(w, http.StatusOK, schema.CompileResponse{Text: text})
 }
 
 func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
@@ -1019,7 +986,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		internalError(err).write(w)
 		return
 	}
-	writeEnvelope(w, http.StatusOK, schema.AttackResponse{
+	httpapi.WriteEnvelope(w, http.StatusOK, schema.AttackResponse{
 		Text:       buf.String(),
 		BadDefense: bad,
 		Results:    attack.Entries(results, true),
@@ -1027,7 +994,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	writeEnvelope(w, http.StatusOK, schema.ExperimentsResponse{
+	httpapi.WriteEnvelope(w, http.StatusOK, schema.ExperimentsResponse{
 		IDs:    eval.ExperimentIDs,
 		Scales: []string{"ref", "test"},
 	})
@@ -1091,7 +1058,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		internalError(err).write(w)
 		return
 	}
-	writeEnvelope(w, http.StatusOK, schema.ExperimentResponse{
+	httpapi.WriteEnvelope(w, http.StatusOK, schema.ExperimentResponse{
 		ID:    id,
 		Scale: cli.ScaleName(scale),
 		Data:  res.data,
@@ -1127,7 +1094,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeEnvelope(w, status, resp)
+	httpapi.WriteEnvelope(w, status, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1136,7 +1103,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		InFlight:      int(s.inFlight.Load()),
 		Queued:        int(s.queued.Load()),
 		Draining:      s.draining.Load(),
-		Endpoints:     make(map[string]schema.EndpointMetrics),
 		ImageCache:    s.runner.ImageCache(),
 		Experiments:   s.experiments.Metrics(),
 		Idempotency:   s.idem.Metrics(),
@@ -1153,22 +1119,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.Store = &m
 		resp.Replication = s.replicationMetrics()
 	}
+	resp.Endpoints, resp.EndpointLatencyUS = s.api.Snapshot()
 	s.mu.Lock()
-	for name, c := range s.endpoints {
-		resp.Endpoints[name] = schema.EndpointMetrics{
-			Requests: c.requests.Load(),
-			OK:       c.ok.Load(),
-			Errors4x: c.errors4x.Load(),
-			Errors5x: c.errors5x.Load(),
-			Timeouts: c.timeouts.Load(),
-		}
-		if c.latencyUS.Count() > 0 {
-			if resp.EndpointLatencyUS == nil {
-				resp.EndpointLatencyUS = make(map[string]schema.Histogram)
-			}
-			resp.EndpointLatencyUS[name] = c.latencyUS.Snapshot()
-		}
-	}
 	for eng, n := range s.engineRuns {
 		if resp.EngineRuns == nil {
 			resp.EngineRuns = make(map[string]uint64)
@@ -1186,5 +1138,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.KeyChecks[mode] = st
 	}
 	s.mu.Unlock()
-	writeEnvelope(w, http.StatusOK, resp)
+	httpapi.WriteEnvelope(w, http.StatusOK, resp)
 }

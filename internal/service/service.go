@@ -30,13 +30,12 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"roload/internal/eval"
+	"roload/internal/httpapi"
 	"roload/internal/retain"
 	"roload/internal/schema"
 	"roload/internal/store"
@@ -167,16 +166,12 @@ type Server struct {
 	inFlight  atomic.Int64
 	queued    atomic.Int64
 
-	reqSeq atomic.Uint64
+	// api is the request middleware; /healthz reports degraded until
+	// DegradedWindow has passed since its last recovered panic.
+	api   *httpapi.Endpoints
+	chaos chaosState
 
-	// lastPanic is the UnixNano stamp of the most recent recovered
-	// handler panic; /healthz reports degraded until DegradedWindow
-	// has passed.
-	lastPanic atomic.Int64
-	chaos     chaosState
-
-	mu        sync.Mutex
-	endpoints map[string]*endpointCounters
+	mu sync.Mutex
 	// keyChecks tracks per-hardening-mode run/violation counts (guarded
 	// by mu; see noteKeyCheck). engineRuns counts executed run requests
 	// per execution engine (also guarded by mu).
@@ -222,7 +217,7 @@ type Server struct {
 
 	// queueWaitUS and runDurationUS are the run endpoint's latency
 	// distributions (microseconds); per-endpoint histograms live in
-	// endpointCounters.
+	// api.
 	queueWaitUS   telemetry.Histogram
 	runDurationUS telemetry.Histogram
 }
@@ -241,11 +236,6 @@ type experiment struct {
 // retainedRuns is how many completed runs' traces and rendered results
 // the server keeps for GET /v1/runs/{id}(/trace).
 const retainedRuns = 256
-
-type endpointCounters struct {
-	requests, ok, errors4x, errors5x, timeouts atomic.Uint64
-	latencyUS                                  telemetry.Histogram
-}
 
 // NewServer builds a Server with cfg's defaults applied. With
 // Config.StoreDir set it opens (recovering, if the last process died
@@ -268,7 +258,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cancelRuns:  cancel,
 		slots:       make(chan struct{}, cfg.Workers),
 		queue:       make(chan struct{}, cfg.Workers+cfg.Queue),
-		endpoints:   make(map[string]*endpointCounters),
+		api:         httpapi.NewEndpoints(cfg.Logger),
 		idem:        retain.NewIdempotency(),
 		experiments: retain.NewMemo[expKey, experiment](),
 		start:       time.Now(),
@@ -318,27 +308,27 @@ func (s *Server) gcLoop() {
 // Handler returns the service's routed HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.logged("run", s.idem.Wrap(s.handleRun)))
-	mux.HandleFunc("POST /v1/runs", s.logged("runs", s.idem.Wrap(s.handleRunCreate)))
-	mux.HandleFunc("GET /v1/runs/{id}", s.logged("run-result", s.handleRunGet))
-	mux.HandleFunc("POST /v1/batch", s.logged("batch", s.idem.Wrap(s.handleBatch)))
-	mux.HandleFunc("POST /v1/compile", s.logged("compile", s.handleCompile))
-	mux.HandleFunc("POST /v1/attack", s.logged("attack", s.handleAttack))
-	mux.HandleFunc("GET /v1/experiments", s.logged("experiments", s.handleExperimentList))
-	mux.HandleFunc("POST /v1/experiments/{id}", s.logged("experiment", s.handleExperiment))
-	mux.HandleFunc("GET /v1/runs/{id}/events", s.logged("events", s.handleEvents))
-	mux.HandleFunc("GET /v1/runs/{id}/trace", s.logged("trace", s.handleTrace))
-	mux.HandleFunc("GET /healthz", s.logged("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.logged("metrics", s.handleMetrics))
+	mux.HandleFunc("POST /v1/run", s.api.Wrap("run", s.idem.Wrap(s.handleRun)))
+	mux.HandleFunc("POST /v1/runs", s.api.Wrap("runs", s.idem.Wrap(s.handleRunCreate)))
+	mux.HandleFunc("GET /v1/runs/{id}", s.api.Wrap("run-result", s.handleRunGet))
+	mux.HandleFunc("POST /v1/batch", s.api.Wrap("batch", s.idem.Wrap(s.handleBatch)))
+	mux.HandleFunc("POST /v1/compile", s.api.Wrap("compile", s.handleCompile))
+	mux.HandleFunc("POST /v1/attack", s.api.Wrap("attack", s.handleAttack))
+	mux.HandleFunc("GET /v1/experiments", s.api.Wrap("experiments", s.handleExperimentList))
+	mux.HandleFunc("POST /v1/experiments/{id}", s.api.Wrap("experiment", s.handleExperiment))
+	mux.HandleFunc("GET /v1/runs/{id}/events", s.api.Wrap("events", s.handleEvents))
+	mux.HandleFunc("GET /v1/runs/{id}/trace", s.api.Wrap("trace", s.handleTrace))
+	mux.HandleFunc("GET /healthz", s.api.Wrap("healthz", s.handleHealthz))
+	mux.HandleFunc("GET /metrics", s.api.Wrap("metrics", s.handleMetrics))
 	if s.cfg.Chaos {
-		mux.HandleFunc("POST /v1/chaos", s.logged("chaos", s.handleChaosSet))
-		mux.HandleFunc("GET /v1/chaos", s.logged("chaos", s.handleChaosGet))
+		mux.HandleFunc("POST /v1/chaos", s.api.Wrap("chaos", s.handleChaosSet))
+		mux.HandleFunc("GET /v1/chaos", s.api.Wrap("chaos", s.handleChaosGet))
 	}
 	if s.store != nil {
-		mux.HandleFunc("POST /v1/images", s.logged("images", s.handleImagePut))
-		mux.HandleFunc("GET /v1/images/{digest}", s.logged("image", imageKind(s.handleStoreGet)))
-		mux.HandleFunc("GET /v1/store/{kind}/{digest}", s.logged("store-get", s.handleStoreGet))
-		mux.HandleFunc("PUT /v1/store/{kind}/{digest}", s.logged("store-put", s.handleStorePut))
+		mux.HandleFunc("POST /v1/images", s.api.Wrap("images", s.handleImagePut))
+		mux.HandleFunc("GET /v1/images/{digest}", s.api.Wrap("image", imageKind(s.handleStoreGet)))
+		mux.HandleFunc("GET /v1/store/{kind}/{digest}", s.api.Wrap("store-get", s.handleStoreGet))
+		mux.HandleFunc("PUT /v1/store/{kind}/{digest}", s.api.Wrap("store-put", s.handleStorePut))
 	}
 	return mux
 }
@@ -423,129 +413,6 @@ func (s *Server) runCtx(r *http.Request, timeoutMS int64) (context.Context, cont
 	return ctx, func() { stop(); cancel() }
 }
 
-// counters returns the per-endpoint counter block, creating it on
-// first use.
-func (s *Server) counters(name string) *endpointCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.endpoints[name]
-	if c == nil {
-		c = &endpointCounters{}
-		s.endpoints[name] = c
-	}
-	return c
-}
-
-// statusWriter captures the response status for logging and counters,
-// and whether anything was written yet (so the panic-recovery path
-// knows it may still answer with a structured 500).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the underlying writer so SSE streaming works
-// through the logging middleware.
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// logged wraps a handler with per-request structured logging, endpoint
-// counters, and panic recovery: a panicking handler answers a
-// structured 500 of kind "panic" (when the response has not started)
-// and the service keeps serving; /healthz reports degraded for the
-// configured window afterwards.
-func (s *Server) logged(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		id := s.reqSeq.Add(1)
-		start := time.Now()
-		// The runInfo holder lets the handler attach its run id after
-		// validation, so the final request line — and a panic report —
-		// carries it even though the middleware ran first.
-		ri := &runInfo{}
-		r = r.WithContext(context.WithValue(r.Context(), runInfoKey{}, ri))
-		func() {
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
-				}
-				s.lastPanic.Store(time.Now().UnixNano())
-				s.cfg.Logger.LogAttrs(r.Context(), slog.LevelError, "panic recovered",
-					slog.Uint64("req_id", id),
-					slog.String("endpoint", name),
-					slog.String("run_id", ri.get()),
-					slog.String("panic", fmt.Sprint(rec)),
-					slog.String("stack", string(debug.Stack())),
-				)
-				if !sw.wrote {
-					(&apiError{http.StatusInternalServerError, schema.ErrorResponse{
-						Error: fmt.Sprintf("handler panic: %v", rec), Kind: "panic",
-						RunID: ri.get(),
-					}}).write(sw)
-				}
-			}()
-			h(sw, r)
-		}()
-		elapsed := time.Since(start)
-		c := s.counters(name)
-		c.requests.Add(1)
-		c.latencyUS.Observe(uint64(elapsed.Microseconds()))
-		switch {
-		case sw.status < 400:
-			c.ok.Add(1)
-		case sw.status < 500:
-			c.errors4x.Add(1)
-		default:
-			c.errors5x.Add(1)
-			if sw.status == http.StatusGatewayTimeout {
-				c.timeouts.Add(1)
-			}
-		}
-		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.Uint64("req_id", id),
-			slog.String("endpoint", name),
-			slog.String("run_id", ri.get()),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("remote", r.RemoteAddr),
-			slog.Int("status", sw.status),
-			slog.Duration("dur", elapsed),
-		)
-	}
-}
-
-// writeEnvelope writes a roload-serve/v1 envelope around payload.
-func writeEnvelope(w http.ResponseWriter, status int, payload any) {
-	env, err := schema.Wrap(schema.ServeV1, payload)
-	if err != nil {
-		// A payload the server cannot marshal is a programming error;
-		// degrade to a plain 500 rather than recursing.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(env) //nolint:errcheck // client gone: nothing to report to
-}
-
 // apiError pairs an HTTP status with the roload-serve/v1 error
 // payload.
 type apiError struct {
@@ -554,10 +421,7 @@ type apiError struct {
 }
 
 func (e *apiError) write(w http.ResponseWriter) {
-	if e.body.RetryAfterSec > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.body.RetryAfterSec))
-	}
-	writeEnvelope(w, e.status, e.body)
+	httpapi.WriteError(w, e.status, e.body)
 }
 
 func validationError(msg string) *apiError {

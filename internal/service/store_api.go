@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"roload/internal/httpapi"
 	"roload/internal/schema"
 )
 
@@ -125,7 +126,7 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	if !added {
 		status = http.StatusOK
 	}
-	writeEnvelope(w, status, schema.StorePutResponse{
+	httpapi.WriteEnvelope(w, status, schema.StorePutResponse{
 		Kind: k.ID, Digest: digest, Added: added,
 	})
 }

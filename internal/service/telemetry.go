@@ -13,51 +13,14 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"roload/internal/schema"
 	"roload/internal/telemetry"
 )
-
-// runInfoKey carries the per-request runInfo holder installed by the
-// logged middleware.
-type runInfoKey struct{}
-
-// runInfo is the mutable per-request telemetry identity: the handler
-// fills it in once the run id is known, and the middleware's log lines
-// and panic reports read it back.
-type runInfo struct {
-	mu    sync.Mutex
-	runID string
-}
-
-func (ri *runInfo) set(id string) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.runID = id
-	ri.mu.Unlock()
-}
-
-func (ri *runInfo) get() string {
-	if ri == nil {
-		return ""
-	}
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	return ri.runID
-}
-
-func runInfoFrom(ctx context.Context) *runInfo {
-	ri, _ := ctx.Value(runInfoKey{}).(*runInfo)
-	return ri
-}
 
 // storedResult is one completed run's rendered answer: the HTTP status
 // and the exact response bytes, so GET /v1/runs/{id} replays what the
@@ -99,31 +62,6 @@ func (s *Server) noteEngineRun(engine string) {
 		s.engineRuns = make(map[string]uint64)
 	}
 	s.engineRuns[engine]++
-}
-
-// renderEnvelope marshals a roload-serve/v1 envelope exactly as
-// writeEnvelope would stream it, so one rendering can be both written
-// to the synchronous response and embedded verbatim in the terminal
-// stream event.
-func renderEnvelope(payload any) ([]byte, error) {
-	env, err := schema.Wrap(schema.ServeV1, payload)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// writeRendered writes a pre-rendered envelope body.
-func writeRendered(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body) //nolint:errcheck // client gone: nothing to report to
 }
 
 // handleEvents is GET /v1/runs/{id}/events: a Server-Sent Events

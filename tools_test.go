@@ -327,6 +327,13 @@ func TestRetainRace(t *testing.T) {
 	raceTest(t, "roload/internal/retain")
 }
 
+// TestHTTPAPIRace re-runs the shared request-middleware tests under
+// the race detector: every request of both tiers crosses its counters,
+// latency histograms and run-id slot.
+func TestHTTPAPIRace(t *testing.T) {
+	raceTest(t, "roload/internal/httpapi")
+}
+
 // TestGofmtAndVet keeps the tree formatted and vet-clean: gofmt -l
 // must print nothing and go vet must pass across every package.
 func TestGofmtAndVet(t *testing.T) {
