@@ -77,8 +77,8 @@ type Inst struct {
 	Off uint16
 	// LineLeader marks the first instruction fetched from each I-cache
 	// line within the block: the emitter performs a real (possibly
-	// missing) cache access for leaders and a guaranteed-hit access for
-	// followers.
+	// missing) cache access for leaders, and credits the followers'
+	// guaranteed hits on that line in one update per line.
 	LineLeader bool
 }
 

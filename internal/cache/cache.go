@@ -168,6 +168,20 @@ func (c *Cache) Access(pa uint64) bool {
 	return false
 }
 
+// RepeatLast credits k more hits to the most recently accessed line,
+// leaving exactly the state (tick, LRU stamp, hit count) of k further
+// Access calls to that line. It emits no probe events, so callers use
+// it only while no probe is attached, and only while the last access
+// still stands: no Flush, DropLine or SetState since.
+func (c *Cache) RepeatLast(k uint64) {
+	if k == 0 {
+		return
+	}
+	c.tick += k
+	c.lastLine.lru = c.tick
+	c.stats.Hits += k
+}
+
 // Flush invalidates the whole cache.
 func (c *Cache) Flush() {
 	for _, set := range c.sets {

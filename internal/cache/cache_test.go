@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +42,53 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if c.Access(32) {
 		t.Error("B survived despite being LRU victim")
+	}
+}
+
+// RepeatLast(k) after Access(pa) must leave the state of k+1 calls to
+// Access(pa): same tick, statistics and per-line LRU stamps.
+func TestRepeatLastMatchesAccess(t *testing.T) {
+	// 2 sets x 2 ways x 16-byte lines; 0, 32 and 64 all map to set 0.
+	cfg := Config{SizeBytes: 64, Ways: 2, LineBytes: 16}
+	cases := []struct {
+		name string
+		warm []uint64 // accesses before the one that is repeated
+		pa   uint64
+		k    uint64
+		hit  bool // whether the repeated line's first access hits
+	}{
+		{"k=0", []uint64{0, 32}, 0, 0, true},
+		{"after hit", []uint64{0, 32, 16}, 4, 5, true},
+		// Set 0 is full with 32 least recent: the miss on 64 evicts it.
+		{"after evicting miss", []uint64{0, 32, 0}, 64, 3, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, got := New(cfg), New(cfg)
+			for _, pa := range tc.warm {
+				want.Access(pa)
+				got.Access(pa)
+			}
+			if hit := got.Access(tc.pa); hit != tc.hit {
+				t.Fatalf("first access hit = %v, want %v", hit, tc.hit)
+			}
+			got.RepeatLast(tc.k)
+			for i := uint64(0); i <= tc.k; i++ {
+				want.Access(tc.pa)
+			}
+			if !reflect.DeepEqual(got.State(), want.State()) {
+				t.Errorf("state after RepeatLast(%d):\n got %+v\nwant %+v", tc.k, got.State(), want.State())
+			}
+			// Later accesses, including a conflicting one, still agree.
+			for _, pa := range []uint64{tc.pa, 32, 0} {
+				if g, w := got.Access(pa), want.Access(pa); g != w {
+					t.Errorf("Access(%#x) after RepeatLast: hit %v, want %v", pa, g, w)
+				}
+			}
+			if !reflect.DeepEqual(got.State(), want.State()) {
+				t.Errorf("state after later accesses:\n got %+v\nwant %+v", got.State(), want.State())
+			}
+		})
 	}
 }
 

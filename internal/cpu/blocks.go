@@ -12,11 +12,19 @@ package cpu
 //     fully retires: base cycles, multiply/divide/jump extras, retire
 //     counts and the static instruction-mix statistics.
 //   - Charged inline by each closure, in the interpreter's exact
-//     order: D-side translation walks and cache misses (dataAccess),
-//     I-side line accounting (one guaranteed TLB hit plus the real
-//     I-cache access per instruction), and the taken-branch penalty.
+//     order: D-side translation walks and cache misses (dataAccess)
+//     and the taken-branch penalty.
+//   - Settled once per I-cache line: each line's leader makes the
+//     real (possibly missing) I-cache access; its followers' fetches
+//     are guaranteed hits on that line, credited in one update when
+//     the next leader runs or the block exits. Inside a block only
+//     fetches touch the I-cache and I-TLB, so the bulk credit leaves
+//     exactly the tick, LRU and hit state of per-instruction accesses.
+//     Every fetch past the first is a guaranteed I-TLB hit (same
+//     page), credited in one bump when the block exits.
 //   - Replayed on a side exit (fault or self-modifying store): the
-//     folded accounting of the instructions that did retire, plus the
+//     fetch credits up to the exiting instruction, the folded
+//     accounting of the instructions that did retire, plus the
 //     faulting instruction's pre-fault charges.
 //
 // Block entry performs a real I-side translation (so exec-permission
@@ -32,7 +40,6 @@ package cpu
 import (
 	"roload/internal/block"
 	"roload/internal/isa"
-	"roload/internal/mem"
 	"roload/internal/mmu"
 )
 
@@ -60,9 +67,12 @@ type compiledBlock struct {
 	// statCycles is the folded static cycle total of a full
 	// retirement: n×Base plus multiply/divide/jump extras.
 	statCycles uint64
-	fallVA     uint64 // fall-through successor (not-taken for branches)
-	takenVA    uint64 // taken-branch or jal target
-	hasTaken   bool
+	// tailHits is the follower count of the last line run, credited
+	// to the I-cache on full retirement.
+	tailHits uint64
+	fallVA   uint64 // fall-through successor (not-taken for branches)
+	takenVA  uint64 // taken-branch or jal target
+	hasTaken bool
 	// fall/taken are direct-chain links: successor blocks cached by
 	// the dispatcher so a taken loop edge skips the map lookup. They
 	// are hints only — every use revalidates VA, write generation and
@@ -224,9 +234,10 @@ func (c *CPU) compileBlock(va, pa uint64) *compiledBlock {
 }
 
 // execBlock runs an entered block. The first instruction's fetch
-// accounting has been performed by the dispatcher; every later
-// closure charges its own. On full retirement the folded static
-// accounting is applied in one update.
+// accounting has been performed by the dispatcher; every later line
+// leader's closure settles the line run before it. On full retirement
+// the last run's fetch credits and the folded static accounting are
+// applied in one update.
 func (c *CPU) execBlock(b *compiledBlock) *Trap {
 	c.blkNext = b.fallVA
 	for i, op := range b.ops {
@@ -234,6 +245,8 @@ func (c *CPU) execBlock(b *compiledBlock) *Trap {
 			return c.blockExit(b, i, st)
 		}
 	}
+	c.icache.RepeatLast(b.tailHits)
+	c.imem.BumpTLBHits(b.n - 1)
 	c.Cycles += b.statCycles
 	c.Instret += b.n
 	cnt := &b.src.Counts
@@ -248,12 +261,22 @@ func (c *CPU) execBlock(b *compiledBlock) *Trap {
 	return nil
 }
 
-// blockExit settles a side exit at instruction i: the folded static
-// accounting of the instructions that did retire, then — for a trap —
+// blockExit settles a side exit at instruction i: the fetch credits
+// of instructions 1..i, the folded static accounting of the
+// instructions that did retire, then — for a trap —
 // the faulting instruction's pre-fault charges and the trap charge,
 // exactly as the interpreter orders them.
 func (c *CPU) blockExit(b *compiledBlock, i int, st blockStatus) *Trap {
 	cost := &c.cfg.Cost
+	// Instruction i was fetched before it executed. Earlier line runs
+	// were settled by their successors' leaders; credit the current
+	// run's followers up to and including i.
+	c.imem.BumpTLBHits(uint64(i))
+	lead := i
+	for lead > 0 && !b.src.Insts[lead].LineLeader {
+		lead--
+	}
+	c.icache.RepeatLast(uint64(i - lead))
 	retired := i
 	if st == blkSelfMod {
 		retired = i + 1
@@ -321,18 +344,6 @@ func (c *CPU) applyStatic(cl block.Class, cost *CostModel) {
 	}
 }
 
-// blockFetch is the folded fetch accounting of one in-block
-// instruction past the first: the I-side translation is a guaranteed
-// TLB hit (same page, nothing between two instructions of a block can
-// touch the I-TLB or the page tables), and the I-cache access is the
-// real one, charging the refill penalty on a line-leader miss.
-func (c *CPU) blockFetch(pa uint64) {
-	c.imem.BumpTLBHits(1)
-	if !c.icache.Access(pa) {
-		c.Cycles += c.cfg.Cost.CacheMiss
-	}
-}
-
 // emitBlock lowers translated IR to the closure chain.
 func (c *CPU) emitBlock(src *block.Block) *compiledBlock {
 	b := &compiledBlock{src: src}
@@ -354,20 +365,28 @@ func (c *CPU) emitBlock(src *block.Block) *compiledBlock {
 		}
 	}
 	b.ops = make([]blockOp, n)
+	lead := 0 // index of the current line run's leader
 	for i, bi := range src.Insts {
 		body := c.emitOp(b, bi)
-		if i == 0 {
+		if i == 0 || !bi.LineLeader {
 			// The dispatcher performs the first instruction's fetch
-			// accounting at block entry.
+			// accounting at block entry; a follower's fetch is a
+			// guaranteed hit on its leader's line, credited in bulk.
 			b.ops[i] = body
 			continue
 		}
+		followers := uint64(i - lead - 1) // of the run this leader closes
+		lead = i
 		ipa := src.PA + uint64(bi.Off)
 		b.ops[i] = func(c *CPU) blockStatus {
-			c.blockFetch(ipa)
+			c.icache.RepeatLast(followers)
+			if !c.icache.Access(ipa) {
+				c.Cycles += c.cfg.Cost.CacheMiss
+			}
 			return body(c)
 		}
 	}
+	b.tailHits = uint64(n - 1 - lead)
 	return b
 }
 
@@ -591,5 +610,3 @@ func emitBranch(in isa.Inst, pcI uint64, takenCost uint64) blockOp {
 		return blkOK
 	}
 }
-
-var _ = mem.PageSize // keep the import while the engine evolves

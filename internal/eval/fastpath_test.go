@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"roload/internal/core"
+	"roload/internal/cpu"
 	"roload/internal/kernel"
 	"roload/internal/mem"
 	"roload/internal/spec"
@@ -16,12 +17,14 @@ import (
 
 // capture is everything observable about one simulated run: the full
 // run result (cycles, instret, CPU/MMU/cache counters, stdout, audit),
-// the roload-metrics/v1 snapshot document, and a digest of all
-// physical memory contents at exit.
+// the roload-metrics/v1 snapshot document, a digest of all physical
+// memory contents at exit, and the core's checkpointable state — TLB
+// contents, cache tags and LRU stamps included.
 type capture struct {
 	res      kernel.RunResult
 	snapJSON string
 	memSum   uint64
+	state    cpu.State
 }
 
 func runCell(t *testing.T, source string, h core.Hardening, sys core.SystemKind, eng core.Engine) capture {
@@ -61,15 +64,15 @@ func runCell(t *testing.T, source string, h core.Hardening, sys core.SystemKind,
 		}
 		sum.Write(page)
 	}
-	return capture{res: res, snapJSON: buf.String(), memSum: sum.Sum64()}
+	return capture{res: res, snapJSON: buf.String(), memSum: sum.Sum64(), state: machine.CPU().State()}
 }
 
 // TestFastPathEquivalence proves the execution engines' hard
 // invariant: interpreter, per-instruction fast path and block engine
 // produce, for every test-scale workload under every hardening
 // scheme, bit-identical cycles, statistics, MMU and cache counters,
-// metrics snapshot, program output, and final physical memory
-// contents. Runs that die with a signal (hardened binaries on the
+// metrics snapshot, program output, final physical memory contents,
+// and final TLB and cache contents down to the LRU order. Runs that die with a signal (hardened binaries on the
 // wrong system) must match too.
 func TestFastPathEquivalence(t *testing.T) {
 	type cell struct {
@@ -131,6 +134,9 @@ func TestFastPathEquivalence(t *testing.T) {
 				}
 				if got.memSum != interp.memSum {
 					t.Errorf("final memory contents differ (%v digest %#x, interp %#x)", eng, got.memSum, interp.memSum)
+				}
+				if !reflect.DeepEqual(got.state, interp.state) {
+					t.Errorf("final core state (TLBs, cache tags and LRU order) differs between %v and interp", eng)
 				}
 			}
 		})

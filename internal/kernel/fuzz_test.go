@@ -59,6 +59,24 @@ func FuzzBlockTranslate(f *testing.F) {
 	f.Add(word(0x02C5C533, 0x02C58533, 0x0000006F)) // div, mul, jal 0 (spin)
 	f.Add(word(0x00A5A023, 0x0005A503))             // store then load
 	f.Add([]byte{0x01, 0x00, 0x13, 0x05, 0xB0, 0x00, 0x82, 0x80})
+	// Blocks spanning three 64-byte I-cache lines (_start is
+	// page-aligned, so words 0, 16 and 32 lead the lines): one that
+	// retires whole, and one whose load faults as a line follower or
+	// as a line leader, settling the I-side fetch accounting of a
+	// partly run block.
+	lineCrosser := func(faultAt int) []byte {
+		ws := make([]uint32, 36, 37)
+		for i := range ws {
+			ws[i] = 0x00150513 // addi a0, a0, 1
+		}
+		if faultAt >= 0 {
+			ws[faultAt] = 0x00003503 // ld a0, 0(zero)
+		}
+		return word(append(ws, 0x00008067)...) // ret
+	}
+	f.Add(lineCrosser(-1))
+	f.Add(lineCrosser(20))
+	f.Add(lineCrosser(32))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		img, err := buildFuzzProgram(raw)
