@@ -271,12 +271,3 @@ func (c *Cache) emit(pa uint64, hit bool) {
 	}
 	c.probe.Event(obs.Event{Kind: obs.KindCache, Side: c.side, Hit: hit, VA: pa, Cycle: now})
 }
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
-}

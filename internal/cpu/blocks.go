@@ -12,8 +12,13 @@ package cpu
 //     fully retires: base cycles, multiply/divide/jump extras, retire
 //     counts and the static instruction-mix statistics.
 //   - Charged inline by each closure, in the interpreter's exact
-//     order: D-side translation walks and cache misses (dataAccess)
-//     and the taken-branch penalty.
+//     order: the taken-branch penalty, and every D-side access through
+//     the interpreter's own load/store helpers. An access inside one
+//     page whose translation hits the D-side L0 (mmu.DataHit) makes the
+//     TLB-hit bookkeeping, the LoadStore charge and the real D-cache
+//     access, then reads or writes the cached host frame; anything
+//     else takes the full path (dataAccess: translation walks, the
+//     straddling second translation, cache misses).
 //   - Settled once per I-cache line: each line's leader makes the
 //     real (possibly missing) I-cache access; its followers' fetches
 //     are guaranteed hits on that line, credited in one update when
@@ -142,11 +147,11 @@ func (c *CPU) runBlocks(bound uint64) *Trap {
 		// This is the per-entry security check — exec-permission
 		// revocation and remaps are caught here.
 		if pc&1 != 0 {
-			return c.blockFetchTrap(&Trap{Kind: TrapMisaligned, PC: pc})
+			return c.raise(&Trap{Kind: TrapMisaligned, PC: pc})
 		}
 		pa, tlbMiss, fault := c.imem.Translate(pc, mmu.Exec, 0)
 		if fault != nil {
-			return c.blockFetchTrap(&Trap{Kind: TrapPageFault, PC: pc, Fault: fault})
+			return c.raise(&Trap{Kind: TrapPageFault, PC: pc, Fault: fault})
 		}
 		if tlbMiss {
 			c.Cycles += c.cfg.Cost.TLBWalkPerMem * 3
@@ -164,7 +169,7 @@ func (c *CPU) runBlocks(bound uint64) *Trap {
 			}
 			in, _, trap := c.fetchDecodeSlow(pc, pa)
 			if trap != nil {
-				return c.blockFetchTrap(trap)
+				return c.raise(trap)
 			}
 			if trap := c.execFetched(pc, in, 0); trap != nil {
 				return trap
@@ -214,14 +219,6 @@ func (c *CPU) runBlocks(bound uint64) *Trap {
 		}
 	}
 	return nil
-}
-
-// blockFetchTrap applies the interpreter's fetch-trap accounting (the
-// probe is nil by construction whenever the block engine runs).
-func (c *CPU) blockFetchTrap(trap *Trap) *Trap {
-	c.stats.Traps++
-	c.Cycles += c.cfg.Cost.Trap
-	return trap
 }
 
 // compileBlock translates and emits the block starting at va/pa and
@@ -506,8 +503,8 @@ func emitALU(in isa.Inst, pcI uint64) blockOp {
 	}
 }
 
-// emitLoad emits regular and ROLoad loads. The D-side access is the
-// full dataAccess/loadVirt pair — translation, key check, cache and
+// emitLoad emits regular and ROLoad loads through the interpreter's
+// own D-side helper (CPU.load) — translation, key check, cache and
 // walk accounting — so a revoked key faults here exactly as it would
 // in the interpreter, however stale the enclosing block.
 func emitLoad(in isa.Inst, cl block.Class, pcI uint64) blockOp {
@@ -523,20 +520,9 @@ func emitLoad(in isa.Inst, cl block.Class, pcI uint64) blockOp {
 	rd, rs1 := in.Rd, in.Rs1
 	shift := uint(64 - 8*n)
 	return func(c *CPU) blockStatus {
-		va := c.Regs[rs1] + imm
-		pa, trap := c.dataAccess(va, n, at, key, pcI, in)
+		v, trap := c.load(c.Regs[rs1]+imm, n, at, key, pcI, in)
 		if trap != nil {
 			c.blkTrap = trap
-			return blkTrap
-		}
-		v, err := c.loadVirt(va, pa, n, at, key)
-		if err != nil {
-			t := &Trap{Kind: TrapPageFault, PC: pcI, Inst: in,
-				Fault: &mmu.Fault{Cause: mmu.FaultLoadPage, VA: va}}
-			if f, ok := err.(*mmu.Fault); ok {
-				t.Fault = f
-			}
-			c.blkTrap = t
 			return blkTrap
 		}
 		if !unsigned {
@@ -549,27 +535,16 @@ func emitLoad(in isa.Inst, cl block.Class, pcI uint64) blockOp {
 	}
 }
 
-// emitStore emits a store; after the write it revalidates the
-// enclosing block's own page so a store into the running code
-// side-exits before any stale instruction executes.
+// emitStore emits a store through CPU.store; after the write it
+// revalidates the enclosing block's own page so a store into the
+// running code side-exits before any stale instruction executes.
 func emitStore(b *compiledBlock, in isa.Inst, pcI uint64) blockOp {
 	n, _ := in.Op.LoadWidth()
 	rs1, rs2 := in.Rs1, in.Rs2
 	imm := uint64(in.Imm)
 	return func(c *CPU) blockStatus {
-		va := c.Regs[rs1] + imm
-		pa, trap := c.dataAccess(va, n, mmu.Write, 0, pcI, in)
-		if trap != nil {
+		if trap := c.store(c.Regs[rs1]+imm, c.Regs[rs2], n, pcI, in); trap != nil {
 			c.blkTrap = trap
-			return blkTrap
-		}
-		if err := c.storeVirt(va, pa, c.Regs[rs2], n); err != nil {
-			t := &Trap{Kind: TrapPageFault, PC: pcI, Inst: in,
-				Fault: &mmu.Fault{Cause: mmu.FaultStorePage, VA: va}}
-			if f, ok := err.(*mmu.Fault); ok {
-				t.Fault = f
-			}
-			c.blkTrap = t
 			return blkTrap
 		}
 		if !b.src.Ref.Valid() {

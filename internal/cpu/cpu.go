@@ -18,6 +18,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 
 	"roload/internal/cache"
@@ -592,9 +593,97 @@ func (c *CPU) fetchDecodeSlow(pc, pa uint64) (isa.Inst, bool, *Trap) {
 	return isa.Decode(uint32(high)<<16 | uint32(low)), straddles, nil
 }
 
-// dataAccess translates va for a load/store of n bytes and charges the
-// memory-hierarchy costs. Accesses crossing a page boundary translate
-// both pages (both must pass all checks, including the ROLoad check).
+// load performs the D-side half of an n-byte load of kind at (key is
+// the ROLoad key) at va for instruction in at pc, shared by Step and
+// the block engine: translation with every permission and key check,
+// the walk, LoadStore and D-cache charges, and the read. An access
+// inside one page whose translation hits the D-side L0 (mmu.DataHit)
+// reads the cached host frame directly; anything else — a miss, an
+// access the full check must judge, a page-straddling access — takes
+// the full path. Both charge the same cycles in the same order.
+func (c *CPU) load(va uint64, n int, at mmu.Access, key uint16, pc uint64, in isa.Inst) (uint64, *Trap) {
+	inPage := va&(mem.PageSize-1)+uint64(n) <= mem.PageSize
+	if inPage {
+		if pa, fr, ok := c.dmem.DataHit(va, at, key); ok {
+			c.chargeDCache(pa)
+			return fr.ReadUint(pa, n), nil
+		}
+	}
+	pa, trap := c.dataAccess(va, n, at, key, pc, in)
+	if trap != nil {
+		return 0, trap
+	}
+	if inPage {
+		v, err := c.phys.ReadUint(pa, n)
+		if err != nil {
+			return 0, memTrap(err, mmu.FaultLoadPage, va, pc, in)
+		}
+		return v, nil
+	}
+	// Page-straddling bytes are read through a second translation of
+	// the next page (already validated by dataAccess).
+	var v uint64
+	for i := 0; i < n; i++ {
+		bpa := pa + uint64(i)
+		if (va+uint64(i))&(mem.PageSize-1) == 0 {
+			var fault *mmu.Fault
+			if bpa, _, fault = c.dmem.Translate(va+uint64(i), at, key); fault != nil {
+				return 0, memTrap(fault, mmu.FaultLoadPage, va, pc, in)
+			}
+			pa = bpa - uint64(i)
+		}
+		b, err := c.phys.ReadUint(bpa, 1)
+		if err != nil {
+			return 0, memTrap(err, mmu.FaultLoadPage, va, pc, in)
+		}
+		v |= b << (8 * uint(i))
+	}
+	return v, nil
+}
+
+// store is load's counterpart for an n-byte store of v. The frame
+// write bumps the page's write generation exactly as WriteUint does.
+// With an injector attached every store takes the full path, because
+// FilterStore must see each one (a dropped store is still charged).
+func (c *CPU) store(va, v uint64, n int, pc uint64, in isa.Inst) *Trap {
+	inPage := va&(mem.PageSize-1)+uint64(n) <= mem.PageSize
+	if inPage && c.inject == nil {
+		if pa, fr, ok := c.dmem.DataHit(va, mmu.Write, 0); ok {
+			c.chargeDCache(pa)
+			fr.WriteUint(pa, v, n)
+			return nil
+		}
+	}
+	pa, trap := c.dataAccess(va, n, mmu.Write, 0, pc, in)
+	if trap != nil || c.inject != nil && !c.inject.FilterStore(va, pa, n) {
+		return trap
+	}
+	if inPage {
+		if err := c.phys.WriteUint(pa, v, n); err != nil {
+			return memTrap(err, mmu.FaultStorePage, va, pc, in)
+		}
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		bpa := pa + uint64(i)
+		if (va+uint64(i))&(mem.PageSize-1) == 0 {
+			var fault *mmu.Fault
+			if bpa, _, fault = c.dmem.Translate(va+uint64(i), mmu.Write, 0); fault != nil {
+				return memTrap(fault, mmu.FaultStorePage, va, pc, in)
+			}
+			pa = bpa - uint64(i)
+		}
+		if err := c.phys.WriteUint(bpa, v>>(8*uint(i))&0xff, 1); err != nil {
+			return memTrap(err, mmu.FaultStorePage, va, pc, in)
+		}
+	}
+	return nil
+}
+
+// dataAccess is the full path's translation: it translates va for an
+// n-byte access and charges the walk, LoadStore and D-cache costs.
+// Accesses crossing a page boundary translate both pages (both must
+// pass all checks, including the ROLoad check).
 func (c *CPU) dataAccess(va uint64, n int, at mmu.Access, key uint16, pc uint64, in isa.Inst) (uint64, *Trap) {
 	pa, tlbMiss, fault := c.dmem.Translate(va, at, key)
 	if fault != nil {
@@ -612,62 +701,40 @@ func (c *CPU) dataAccess(va uint64, n int, at mmu.Access, key uint16, pc uint64,
 			c.Cycles += c.cfg.Cost.TLBWalkPerMem * 3
 		}
 	}
+	c.chargeDCache(pa)
+	return pa, nil
+}
+
+// chargeDCache charges a D-side access that passed translation: the
+// LoadStore cycle, then the D-cache access and any refill.
+func (c *CPU) chargeDCache(pa uint64) {
 	c.Cycles += c.cfg.Cost.LoadStore
 	if !c.dcache.Access(pa) {
 		c.Cycles += c.cfg.Cost.CacheMiss
 	}
-	return pa, nil
 }
 
-// loadPhys reads an n-byte value whose first byte lives at physical pa
-// and whose virtual address is va; page-straddling bytes are read via a
-// second translation (already validated by dataAccess).
-func (c *CPU) loadVirt(va, pa uint64, n int, at mmu.Access, key uint16) (uint64, error) {
-	if va>>mem.PageShift == (va+uint64(n)-1)>>mem.PageShift {
-		return c.phys.ReadUint(pa, n)
+// memTrap turns a failed access into the instruction's page-fault
+// trap: an *mmu.Fault is kept as is, any other error (a physical
+// address outside memory) becomes a plain fault of the given cause at
+// va.
+func memTrap(err error, cause mmu.FaultCause, va, pc uint64, in isa.Inst) *Trap {
+	var f *mmu.Fault
+	if !errors.As(err, &f) {
+		f = &mmu.Fault{Cause: cause, VA: va}
 	}
-	var v uint64
-	for i := 0; i < n; i++ {
-		bpa := pa + uint64(i)
-		if (va+uint64(i))&(mem.PageSize-1) == 0 {
-			var fault *mmu.Fault
-			bpa, _, fault = c.dmem.Translate(va+uint64(i), at, key)
-			if fault != nil {
-				return 0, fault
-			}
-			pa = bpa - uint64(i)
-		}
-		b, err := c.phys.ReadUint(bpa, 1)
-		if err != nil {
-			return 0, err
-		}
-		v |= b << (8 * uint(i))
-	}
-	return v, nil
+	return &Trap{Kind: TrapPageFault, PC: pc, Inst: in, Fault: f}
 }
 
-func (c *CPU) storeVirt(va, pa uint64, v uint64, n int) error {
-	if c.inject != nil && !c.inject.FilterStore(va, pa, n) {
-		return nil // dropped store: permission checks and costs already done
+// raise applies the interpreter's trap accounting to a trap that ends
+// the current Step (or a block-engine fetch) and returns it.
+func (c *CPU) raise(trap *Trap) *Trap {
+	c.stats.Traps++
+	c.Cycles += c.cfg.Cost.Trap
+	if c.probe != nil {
+		c.emitTrap(trap)
 	}
-	if va>>mem.PageShift == (va+uint64(n)-1)>>mem.PageShift {
-		return c.phys.WriteUint(pa, v, n)
-	}
-	for i := 0; i < n; i++ {
-		bpa := pa + uint64(i)
-		if (va+uint64(i))&(mem.PageSize-1) == 0 {
-			var fault *mmu.Fault
-			bpa, _, fault = c.dmem.Translate(va+uint64(i), mmu.Write, 0)
-			if fault != nil {
-				return fault
-			}
-			pa = bpa - uint64(i)
-		}
-		if err := c.phys.WriteUint(bpa, v>>(8*uint(i))&0xff, 1); err != nil {
-			return err
-		}
-	}
-	return nil
+	return trap
 }
 
 // Step executes one instruction. It returns nil on normal retirement
@@ -678,13 +745,7 @@ func (c *CPU) storeVirt(va, pa uint64, v uint64, n int) error {
 func (c *CPU) Step() *Trap {
 	if c.inject != nil {
 		if c.inject.PreStep(c.Instret) {
-			c.stats.Traps++
-			c.Cycles += c.cfg.Cost.Trap
-			trap := &Trap{Kind: TrapSpurious, PC: c.PC}
-			if c.probe != nil {
-				c.emitTrap(trap)
-			}
-			return trap
+			return c.raise(&Trap{Kind: TrapSpurious, PC: c.PC})
 		}
 	}
 	var cyc0 uint64
@@ -694,12 +755,7 @@ func (c *CPU) Step() *Trap {
 	pc := c.PC
 	in, trap := c.fetchInst(pc)
 	if trap != nil {
-		c.stats.Traps++
-		c.Cycles += c.cfg.Cost.Trap
-		if c.probe != nil {
-			c.emitTrap(trap)
-		}
-		return trap
+		return c.raise(trap)
 	}
 	return c.execFetched(pc, in, cyc0)
 }
@@ -711,13 +767,7 @@ func (c *CPU) Step() *Trap {
 // instruction turns out not to be block-compilable.
 func (c *CPU) execFetched(pc uint64, in isa.Inst, cyc0 uint64) *Trap {
 	if in.Op == isa.OpInvalid || (in.Op.IsROLoad() && !c.cfg.ROLoadEnabled) {
-		c.stats.Traps++
-		c.Cycles += c.cfg.Cost.Trap
-		trap := &Trap{Kind: TrapIllegalInst, PC: pc, Inst: in}
-		if c.probe != nil {
-			c.emitTrap(trap)
-		}
-		return trap
+		return c.raise(&Trap{Kind: TrapIllegalInst, PC: pc, Inst: in})
 	}
 	if c.Tracer != nil {
 		c.Tracer(pc, in)
@@ -760,28 +810,9 @@ func (c *CPU) execFetched(pc uint64, in isa.Inst, cyc0 uint64) *Trap {
 			c.stats.ROLoads++
 		}
 		c.stats.Loads++
-		pa, trap := c.dataAccess(va, n, at, key, pc, in)
+		v, trap := c.load(va, n, at, key, pc, in)
 		if trap != nil {
-			c.stats.Traps++
-			c.Cycles += c.cfg.Cost.Trap
-			if c.probe != nil {
-				c.emitTrap(trap)
-			}
-			return trap
-		}
-		v, err := c.loadVirt(va, pa, n, at, key)
-		if err != nil {
-			c.stats.Traps++
-			c.Cycles += c.cfg.Cost.Trap
-			trap := &Trap{Kind: TrapPageFault, PC: pc, Inst: in,
-				Fault: &mmu.Fault{Cause: mmu.FaultLoadPage, VA: va}}
-			if f, ok := err.(*mmu.Fault); ok {
-				trap.Fault = f
-			}
-			if c.probe != nil {
-				c.emitTrap(trap)
-			}
-			return trap
+			return c.raise(trap)
 		}
 		if !unsigned {
 			shift := uint(64 - 8*n)
@@ -790,29 +821,9 @@ func (c *CPU) execFetched(pc uint64, in isa.Inst, cyc0 uint64) *Trap {
 		c.setReg(in.Rd, v)
 	case in.Op.IsStore():
 		n, _ := in.Op.LoadWidth()
-		va := c.reg(in.Rs1) + uint64(in.Imm)
 		c.stats.Stores++
-		pa, trap := c.dataAccess(va, n, mmu.Write, 0, pc, in)
-		if trap != nil {
-			c.stats.Traps++
-			c.Cycles += c.cfg.Cost.Trap
-			if c.probe != nil {
-				c.emitTrap(trap)
-			}
-			return trap
-		}
-		if err := c.storeVirt(va, pa, c.reg(in.Rs2), n); err != nil {
-			c.stats.Traps++
-			c.Cycles += c.cfg.Cost.Trap
-			trap := &Trap{Kind: TrapPageFault, PC: pc, Inst: in,
-				Fault: &mmu.Fault{Cause: mmu.FaultStorePage, VA: va}}
-			if f, ok := err.(*mmu.Fault); ok {
-				trap.Fault = f
-			}
-			if c.probe != nil {
-				c.emitTrap(trap)
-			}
-			return trap
+		if trap := c.store(c.reg(in.Rs1)+uint64(in.Imm), c.reg(in.Rs2), n, pc, in); trap != nil {
+			return c.raise(trap)
 		}
 	case in.Op == isa.ECALL:
 		c.Instret++

@@ -3,12 +3,14 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
 
 	"roload/internal/asm"
 	"roload/internal/cpu"
+	"roload/internal/mem"
 )
 
 // fuzzBlockWords caps how much raw code one fuzz case plants: enough
@@ -41,7 +43,8 @@ func buildFuzzProgram(raw []byte) (*asm.Image, error) {
 // FuzzBlockTranslate feeds raw instruction sequences through the
 // assembler and runs them on all three execution engines: the block
 // engine's observables (run result, architectural state, statistics,
-// MMU and cache counters) must be bit-identical to the interpreter's,
+// MMU and cache counters, physical memory contents) must be
+// bit-identical to the interpreter's,
 // whatever garbage the decoder meets — illegal encodings, compressed
 // parcels, branches into the middle of other instructions, stores over
 // the block's own code, or runs that never terminate (step limit).
@@ -77,6 +80,17 @@ func FuzzBlockTranslate(f *testing.F) {
 	f.Add(lineCrosser(-1))
 	f.Add(lineCrosser(20))
 	f.Add(lineCrosser(32))
+	// The D-side hit path, each falling through to the exit stub: a
+	// store then a load that hit the L0 translation, a second store
+	// that hits it (only the memory checksum sees a store written
+	// through the wrong frame), a load crossing the top of the stack
+	// page (sp = stack top - 64) that must take the full path, and a
+	// store to the R+X code page that must fault the same way on every
+	// engine.
+	f.Add(word(0xFEA13C23, 0xFF813583)) // sd a0,-8(sp); ld a1,-8(sp)
+	f.Add(word(0xFE213C23, 0xFE213823)) // sd sp,-8(sp); sd sp,-16(sp)
+	f.Add(word(0x03C13503))             // ld a0,60(sp)
+	f.Add(word(0x00000597, 0x0005A023)) // auipc a1,0; sw zero,0(a1)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		img, err := buildFuzzProgram(raw)
@@ -88,6 +102,7 @@ func FuzzBlockTranslate(f *testing.F) {
 			res    RunResult
 			errMsg string
 			state  cpu.State
+			memSum uint64 // every allocated page, in page-number order
 		}
 		run := func(noFastPath, noBlocks bool) outcome {
 			cfg := FullSystem()
@@ -104,6 +119,17 @@ func FuzzBlockTranslate(f *testing.F) {
 			if err != nil {
 				o.errMsg = err.Error()
 			}
+			sum := fnv.New64a()
+			page := make([]byte, mem.PageSize)
+			phys := sys.Phys()
+			for _, pn := range phys.PageNumbers() {
+				if err := phys.Read(pn<<mem.PageShift, page); err != nil {
+					t.Fatal(err)
+				}
+				binary.Write(sum, binary.LittleEndian, pn)
+				sum.Write(page)
+			}
+			o.memSum = sum.Sum64()
 			return o
 		}
 
@@ -124,6 +150,9 @@ func FuzzBlockTranslate(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got.state, interp.state) {
 				t.Fatalf("%s architectural state differs:\n%s: %+v\ninterp: %+v", eng.name, eng.name, got.state, interp.state)
+			}
+			if got.memSum != interp.memSum {
+				t.Fatalf("%s physical memory differs from interp", eng.name)
 			}
 		}
 	})

@@ -7,8 +7,12 @@
 // and WriteUint carry a fast path for accesses that stay inside one
 // page — they index the page slice directly instead of round-tripping
 // through a staging buffer — and the last-touched page is cached to
-// skip the map lookup. Both paths produce bit-identical contents; the
-// fast path is purely a host-time optimization.
+// skip the map lookup. The last-page pointer holds one page, so it
+// misses whenever stack and global accesses alternate; the D-side hit
+// path therefore bypasses it: each MMU L0 slot caches a Frame, the
+// host page behind its translation, and loads and stores that hit the
+// slot go straight to the frame. All paths produce bit-identical
+// contents; they are purely host-time optimizations.
 //
 // Each page additionally carries a write generation counter, exposed
 // through PageRef. Consumers that cache derived views of physical
@@ -32,11 +36,59 @@ const PageSize = 4096
 const PageShift = 12
 
 // page is one lazily allocated physical frame plus its write
-// generation, bumped on every mutation (including ZeroPage, which
-// orphans the struct so stale PageRefs observe the bump).
+// generation, bumped on every mutation (including ZeroPage and
+// RestorePages, which orphan the struct so stale PageRefs observe the
+// bump and stale Frames report dead).
 type page struct {
 	data []byte
 	gen  uint64
+	dead bool
+}
+
+// orphan retires a page that is leaving the page map.
+func (pg *page) orphan() {
+	pg.gen++
+	pg.dead = true
+}
+
+// load reads the n-byte little-endian value at offset off; the access
+// must stay inside the page.
+func (pg *page) load(off uint64, n int) uint64 {
+	b := pg.data[off:]
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
+	var v uint64
+	for i := n - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
+}
+
+// store writes the low n bytes of v little-endian at offset off and
+// bumps the write generation; the access must stay inside the page.
+func (pg *page) store(off uint64, v uint64, n int) {
+	pg.gen++
+	b := pg.data[off:]
+	switch n {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		for i := 0; i < n; i++ {
+			b[i] = byte(v >> (8 * uint(i)))
+		}
+	}
 }
 
 // Physical is a sparse byte-addressable physical memory. Pages are
@@ -149,17 +201,7 @@ func (p *Physical) ReadUint(addr uint64, n int) (uint64, error) {
 		if err := p.check(addr, n); err != nil {
 			return 0, err
 		}
-		b := p.page(addr).data[off:]
-		switch n {
-		case 8:
-			return binary.LittleEndian.Uint64(b), nil
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(b)), nil
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(b)), nil
-		case 1:
-			return uint64(b[0]), nil
-		}
+		return p.page(addr).load(off, n), nil
 	}
 	var buf [8]byte
 	if err := p.Read(addr, buf[:n]); err != nil {
@@ -174,23 +216,8 @@ func (p *Physical) WriteUint(addr uint64, v uint64, n int) error {
 		if err := p.check(addr, n); err != nil {
 			return err
 		}
-		pg := p.page(addr)
-		pg.gen++
-		b := pg.data[off:]
-		switch n {
-		case 8:
-			binary.LittleEndian.PutUint64(b, v)
-			return nil
-		case 4:
-			binary.LittleEndian.PutUint32(b, uint32(v))
-			return nil
-		case 2:
-			binary.LittleEndian.PutUint16(b, uint16(v))
-			return nil
-		case 1:
-			b[0] = byte(v)
-			return nil
-		}
+		p.page(addr).store(off, v, n)
+		return nil
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
@@ -225,9 +252,9 @@ func (p *Physical) ZeroPage(addr uint64) error {
 	}
 	pn := addr >> PageShift
 	if pg, ok := p.pages[pn]; ok {
-		// Orphan the struct with a final generation bump so outstanding
-		// PageRefs see the invalidation.
-		pg.gen++
+		// Orphan the struct so outstanding PageRefs and Frames see the
+		// invalidation.
+		pg.orphan()
 		delete(p.pages, pn)
 	}
 	if p.last != nil && p.lastPN == pn {
@@ -258,3 +285,39 @@ func (p *Physical) Ref(addr uint64) (PageRef, error) {
 
 // Valid reports whether the page is unmodified since Ref.
 func (r PageRef) Valid() bool { return r.pg != nil && r.pg.gen == r.snap }
+
+// Frame is a handle on the host storage of one allocated physical
+// page, for consumers that cache the page behind a translation (the
+// MMU's L0 slots). Unlike Ref, looking a Frame up never allocates, and
+// writes through it do not invalidate it: it goes dead only when the
+// page leaves the page map (ZeroPage, RestorePages), after which the
+// holder must look it up again.
+type Frame struct{ pg *page }
+
+// Frame returns the frame holding physical address addr, or a dead
+// Frame when that page has never been touched (or addr is out of
+// range). It does not move the last-page pointer.
+func (p *Physical) Frame(addr uint64) Frame {
+	pn := addr >> PageShift
+	if p.last != nil && p.lastPN == pn {
+		return Frame{p.last}
+	}
+	return Frame{p.pages[pn]}
+}
+
+// Live reports whether the frame still backs its physical page.
+func (f Frame) Live() bool { return f.pg != nil && !f.pg.dead }
+
+// ReadUint reads the n-byte little-endian value at physical address
+// addr, which must lie in this live frame with all n bytes inside the
+// page — the caller's translation guarantees both.
+func (f Frame) ReadUint(addr uint64, n int) uint64 {
+	return f.pg.load(addr&(PageSize-1), n)
+}
+
+// WriteUint writes the low n bytes of v at physical address addr under
+// the same conditions as ReadUint, bumping the page's write generation
+// exactly as Physical.WriteUint does.
+func (f Frame) WriteUint(addr uint64, v uint64, n int) {
+	f.pg.store(addr&(PageSize-1), v, n)
+}

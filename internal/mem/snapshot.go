@@ -29,7 +29,7 @@ func (p *Physical) SnapshotPages() []PageImage {
 // currently allocated page is dropped, then the snapshot's pages are
 // installed. Write generations restart, which is invisible to
 // simulated state (generations only gate host-side caches, and those
-// revalidate).
+// revalidate: the dropped pages are orphaned like ZeroPage's).
 func (p *Physical) RestorePages(pages []PageImage) error {
 	for _, pi := range pages {
 		if len(pi.Data) != PageSize {
@@ -38,6 +38,9 @@ func (p *Physical) RestorePages(pages []PageImage) error {
 		if pi.PN<<PageShift >= p.size {
 			return fmt.Errorf("mem: snapshot page %#x outside %#x-byte memory", pi.PN, p.size)
 		}
+	}
+	for _, pg := range p.pages {
+		pg.orphan()
 	}
 	p.pages = make(map[uint64]*page, len(pages))
 	p.last = nil

@@ -148,9 +148,43 @@ const l0Slots = 16
 // l0Entry is one L0 slot. It mirrors an entry known to be present in
 // the TLB right now; any TLB mutation clears the whole L0, so a slot
 // hit proves a full Translate would have been a TLB hit too.
+//
+// Like the paper's TLB entry, which carries the page key so the ROLoad
+// check needs no extra lookup, a slot also carries its permission
+// outcome per access kind, computed by fill from the entry it mirrors:
+// an access the outcome passes needs no call to check. The ROLoad key
+// itself is still compared on every access, against the entry the TLB
+// holds now. For DataHit the slot also caches the host frame behind
+// the translation, resolved lazily and re-resolved once ZeroPage or
+// RestorePages kills it.
 type l0Entry struct {
 	vpn uint64
 	e   TLBEntry // e.Valid doubles as the slot-valid bit
+
+	read, write, exec bool
+	roKey             int32 // key a ROLoadRead must carry to pass; noROKey when none can
+	pa                uint64
+	frame             mem.Frame
+}
+
+// noROKey marks a slot no ROLoadRead passes without the full check:
+// the page is writable or unreadable, or the ROLoad logic is off.
+const noROKey = -1
+
+// allows reports whether the slot's precomputed outcome passes an
+// access of kind at carrying key. It never passes an access check
+// would fault; it may refuse one check would pass (a ROLoadRead on an
+// MMU without the ROLoad logic), which the caller sends to check.
+func (s *l0Entry) allows(at Access, key uint16) bool {
+	switch at {
+	case Read:
+		return s.read
+	case Write:
+		return s.write
+	case Exec:
+		return s.exec
+	}
+	return s.roKey == int32(key)
 }
 
 // MMU is a single translation unit (the prototype has separate I and D
@@ -165,7 +199,10 @@ type MMU struct {
 	// l0 is the inline translation cache. Invariant: every valid slot
 	// holds a translation currently present in the TLB, so serving it
 	// is observably identical (PA, fault, hit statistics) to the full
-	// lookup. Flush, FlushPage, SetRoot and every TLB insert clear it.
+	// lookup — through Translate's L0 branch or DataHit alike. Every
+	// TLB insert, Flush, FlushPage, SetRoot, CorruptTLB and SetState
+	// clears it, which also drops the slots' cached permission
+	// outcomes and frames.
 	l0    [l0Slots]l0Entry
 	useL0 bool
 
@@ -299,11 +336,13 @@ func (m *MMU) Translate(va uint64, at Access, key uint16) (pa uint64, tlbMiss bo
 		vpn := va >> mem.PageShift
 		if s := &m.l0[vpn&(l0Slots-1)]; s.e.Valid && s.vpn == vpn {
 			m.stats.TLBHits++
-			if f := m.check(s.e, va, at, key); f != nil {
-				m.stats.Faults++
-				return 0, false, f
+			if !s.allows(at, key) {
+				if f := m.check(s.e, va, at, key); f != nil {
+					m.stats.Faults++
+					return 0, false, f
+				}
 			}
-			return s.e.PPN<<mem.PageShift | va&(mem.PageSize-1), false, nil
+			return s.pa | va&(mem.PageSize-1), false, nil
 		}
 	}
 	e, hit := m.tlb.Lookup(va)
@@ -335,14 +374,53 @@ func (m *MMU) Translate(va uint64, at Access, key uint16) (pa uint64, tlbMiss bo
 		m.clearL0()
 	}
 	if m.useL0 {
-		vpn := va >> mem.PageShift
-		m.l0[vpn&(l0Slots-1)] = l0Entry{vpn: vpn, e: e}
+		m.fill(e)
 	}
 	if f := m.check(e, va, at, key); f != nil {
 		m.stats.Faults++
 		return 0, !hit, f
 	}
 	return e.PPN<<mem.PageShift | va&(mem.PageSize-1), !hit, nil
+}
+
+// fill installs e, an entry the TLB holds now, in its L0 slot with the
+// precomputed permission outcome; the frame resolves on first DataHit.
+func (m *MMU) fill(e TLBEntry) {
+	s := &m.l0[e.VPN&(l0Slots-1)]
+	*s = l0Entry{
+		vpn: e.VPN, e: e, pa: e.PPN << mem.PageShift,
+		read:  e.Perms&PTERead != 0,
+		write: e.Perms&PTEWrite != 0,
+		exec:  e.Perms&PTEExec != 0,
+		roKey: noROKey,
+	}
+	if m.cfg.ROLoadEnabled && s.read && !s.write {
+		s.roKey = int32(e.Key)
+	}
+}
+
+// DataHit is the D-side hit path: when va's page sits in the L0 and
+// the slot's outcome passes the access, it does exactly a TLB hit's
+// bookkeeping and returns the physical address together with the live
+// host frame behind it, so the caller can load or store without
+// another lookup. Otherwise — an L0 miss, an access the full check
+// must judge, a frame never touched or orphaned, a probe attached —
+// it changes nothing and reports false; the caller then takes the full
+// Translate path, which does the same bookkeeping itself. The caller
+// keeps the access inside va's page.
+func (m *MMU) DataHit(va uint64, at Access, key uint16) (uint64, mem.Frame, bool) {
+	vpn := va >> mem.PageShift
+	s := &m.l0[vpn&(l0Slots-1)]
+	if !s.e.Valid || s.vpn != vpn || m.probe != nil || !s.allows(at, key) {
+		return 0, mem.Frame{}, false
+	}
+	if !s.frame.Live() {
+		if s.frame = m.phys.Frame(s.pa); !s.frame.Live() {
+			return 0, mem.Frame{}, false
+		}
+	}
+	m.stats.TLBHits++
+	return s.pa | va&(mem.PageSize-1), s.frame, true
 }
 
 // BumpTLBHits credits n TLB hits without performing lookups — the

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"roload/internal/mem"
+	"roload/internal/obs"
 )
 
 // bumpAlloc is a trivial frame allocator for tests.
@@ -363,6 +364,208 @@ func TestSetRootFlushes(t *testing.T) {
 	}
 }
 
+// TestDataHitMatchesTranslate pins the D-side hit path to the full
+// lookup. Twin MMUs share one physical memory: for every page
+// permission and data access kind, DataHit on one twin must hit exactly
+// when Translate on the other passes, with the same PA and statistics
+// afterwards, and a miss must leave the statistics untouched. The
+// ROLoad key is checked per access against the cached entry, so a
+// wrong key never hits.
+func TestDataHitMatchesTranslate(t *testing.T) {
+	const k = 7
+	pages := []struct {
+		name  string
+		perms uint64
+		key   uint16
+	}{
+		{"R", PTERead, 0},
+		{"RW", PTERead | PTEWrite, 0},
+		{"RX", PTERead | PTEExec, 0},
+		{"X", PTEExec, 0},
+		{"R key k", PTERead, k},
+	}
+	accesses := []struct {
+		name string
+		at   Access
+		key  uint16
+	}{
+		{"read", Read, 0},
+		{"write", Write, 0},
+		{"ld.ro key k", ROLoadRead, k},
+		{"ld.ro key k+1", ROLoadRead, k + 1}, // wrong for every page
+		{"ld.ro key 0", ROLoadRead, 0},       // wrong for the keyed page
+	}
+	for pi, pg := range pages {
+		for _, ac := range accesses {
+			t.Run(pg.name+"/"+ac.name, func(t *testing.T) {
+				phys, mapper, hit := testSetup(t, DefaultConfig())
+				full := New(phys, DefaultConfig())
+				full.SetRoot(mapper.Root())
+				va := uint64(0x40000 + pi*mem.PageSize)
+				pa := uint64(0x200000 + pi*mem.PageSize)
+				if err := mapper.Map(va, pa, pg.perms, pg.key); err != nil {
+					t.Fatal(err)
+				}
+				if err := phys.WriteUint(pa+8, 0x1122334455667788, 8); err != nil {
+					t.Fatal(err)
+				}
+				const off = 8
+				// Not yet in the L0: a miss that changes nothing.
+				if _, _, ok := hit.DataHit(va+off, ac.at, ac.key); ok {
+					t.Fatal("DataHit hit before any translation")
+				}
+				if hit.Stats() != (Stats{}) {
+					t.Fatalf("miss changed stats: %+v", hit.Stats())
+				}
+				// Fill both TLBs (and the L0) the same way; the fill
+				// happens whether or not the access passes.
+				hit.Translate(va, ac.at, ac.key)
+				full.Translate(va, ac.at, ac.key)
+				for round := 0; round < 2; round++ {
+					before := hit.Stats()
+					gotPA, fr, ok := hit.DataHit(va+off, ac.at, ac.key)
+					wantPA, miss, fault := full.Translate(va+off, ac.at, ac.key)
+					if ok != (fault == nil) {
+						t.Fatalf("round %d: DataHit ok=%v, Translate fault=%v", round, ok, fault)
+					}
+					if !ok {
+						if hit.Stats() != before {
+							t.Fatalf("round %d: miss changed stats %+v -> %+v", round, before, hit.Stats())
+						}
+						// The caller falls back to the full path.
+						hit.Translate(va+off, ac.at, ac.key)
+					} else {
+						if miss || gotPA != wantPA {
+							t.Fatalf("round %d: DataHit pa %#x, Translate pa %#x miss %v", round, gotPA, wantPA, miss)
+						}
+						want, _ := phys.ReadUint(wantPA, 8)
+						if got := fr.ReadUint(gotPA, 8); got != want {
+							t.Fatalf("round %d: frame reads %#x, memory holds %#x", round, got, want)
+						}
+					}
+					if hit.Stats() != full.Stats() {
+						t.Fatalf("round %d: stats %+v, twin %+v", round, hit.Stats(), full.Stats())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDataHitFrameLiveness checks that the frame an L0 slot caches
+// never outlives its page: after ZeroPage or RestorePages orphans the
+// page, DataHit must not hand out the stale frame — it misses until
+// the page exists again, then serves the new one. Writes through the
+// frame land in physical memory and bump the write generation.
+func TestDataHitFrameLiveness(t *testing.T) {
+	phys, mapper, m := testSetup(t, DefaultConfig())
+	const va, pa = 0x40000, 0x200000
+	if err := mapper.Map(va, pa, PTERead|PTEWrite, 0); err != nil {
+		t.Fatal(err)
+	}
+	read := func(name string) (uint64, bool) {
+		t.Helper()
+		before := m.Stats()
+		gotPA, fr, ok := m.DataHit(va+16, Read, 0)
+		if !ok {
+			if m.Stats() != before {
+				t.Fatalf("%s: miss changed stats", name)
+			}
+			return 0, false
+		}
+		if gotPA != pa+16 {
+			t.Fatalf("%s: pa %#x, want %#x", name, gotPA, pa+16)
+		}
+		return fr.ReadUint(gotPA, 8), true
+	}
+	if _, _, f := m.Translate(va, Read, 0); f != nil {
+		t.Fatal(f)
+	}
+	// The page has never been touched: no frame to hand out, and the
+	// lookup must not allocate one.
+	allocated := phys.AllocatedPages()
+	if _, ok := read("untouched"); ok {
+		t.Fatal("DataHit invented a frame for an untouched page")
+	}
+	if phys.AllocatedPages() != allocated {
+		t.Fatalf("DataHit allocated: %d pages, was %d", phys.AllocatedPages(), allocated)
+	}
+	mustWrite := func(v uint64) {
+		t.Helper()
+		if err := phys.WriteUint(pa+16, v, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustWrite(0xaaaa)
+	if v, ok := read("allocated"); !ok || v != 0xaaaa {
+		t.Fatalf("allocated: got %#x ok=%v, want 0xaaaa hit", v, ok)
+	}
+
+	// A write through the frame reaches memory and invalidates refs.
+	ref, _ := phys.Ref(pa)
+	_, fr, ok := m.DataHit(va+24, Write, 0)
+	if !ok {
+		t.Fatal("write did not hit")
+	}
+	fr.WriteUint(pa+24, 0xbbbb, 2)
+	if v, _ := phys.ReadUint(pa+24, 8); v != 0xbbbb {
+		t.Fatalf("frame write: memory holds %#x", v)
+	}
+	if ref.Valid() {
+		t.Fatal("frame write did not bump the write generation")
+	}
+
+	orphans := []struct {
+		name   string
+		orphan func() error
+		want   uint64 // value at pa+16 once the page is back
+	}{
+		{"ZeroPage", func() error { return phys.ZeroPage(pa) }, 0},
+		{"RestorePages", func() error {
+			snap := phys.SnapshotPages()
+			mustWrite(0xdead) // the live frame changes; the snapshot does not
+			return phys.RestorePages(snap)
+		}, 0xcccc},
+	}
+	for _, o := range orphans {
+		mustWrite(0xcccc)
+		if v, ok := read(o.name + " before"); !ok || v != 0xcccc {
+			t.Fatalf("%s before: got %#x ok=%v", o.name, v, ok)
+		}
+		if err := o.orphan(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := read(o.name + " after"); ok && v != o.want {
+			t.Fatalf("%s: DataHit served a stale frame (%#x), memory holds %#x", o.name, v, o.want)
+		}
+		mustWrite(0xeeee)
+		if v, ok := read(o.name + " rewritten"); !ok || v != 0xeeee {
+			t.Fatalf("%s rewritten: got %#x ok=%v, want 0xeeee hit", o.name, v, ok)
+		}
+	}
+}
+
+// TestDataHitBypassedUnderProbe: with a probe attached every lookup
+// must reach the full path, which emits the per-lookup events.
+func TestDataHitBypassedUnderProbe(t *testing.T) {
+	phys, mapper, m := testSetup(t, DefaultConfig())
+	if err := mapper.Map(0x40000, 0x200000, PTERead, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := phys.WriteUint(0x200000, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	m.Translate(0x40000, Read, 0)
+	if _, _, ok := m.DataHit(0x40000, Read, 0); !ok {
+		t.Fatal("no hit without a probe")
+	}
+	m.SetProbe(&obs.Counters{}, obs.SideD, nil)
+	before := m.Stats()
+	if _, _, ok := m.DataHit(0x40000, Read, 0); ok || m.Stats() != before {
+		t.Fatalf("probe attached: ok=%v, stats %+v -> %+v", ok, before, m.Stats())
+	}
+}
+
 func BenchmarkTranslateHit(b *testing.B) {
 	phys := mem.NewPhysical(64 << 20)
 	alloc := &bumpAlloc{next: 0x100000}
@@ -388,5 +591,20 @@ func BenchmarkTranslateWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Flush()
 		m.Translate(0x50000, Read, 0)
+	}
+}
+
+func BenchmarkDataHit(b *testing.B) {
+	phys := mem.NewPhysical(64 << 20)
+	alloc := &bumpAlloc{next: 0x100000}
+	mapper, _ := NewMapper(phys, alloc)
+	m := New(phys, DefaultConfig())
+	m.SetRoot(mapper.Root())
+	_ = mapper.Map(0x50000, 0x80000, PTERead, 3)
+	_ = phys.WriteUint(0x80000, 1, 8)
+	m.Translate(0x50000, Read, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.DataHit(0x50000, ROLoadRead, 3)
 	}
 }
