@@ -1,13 +1,13 @@
 // Package block is the translation half of the block-compiling
 // execution engine: it decodes one guest basic block — a straight-line
 // run of instructions ending at a control transfer or at an engine
-// boundary — into an opcode-classified IR that the emitter in
-// internal/cpu lowers to a chain of pre-bound closures.
+// boundary — into an opcode-classified IR that internal/cpu lowers to
+// a flat micro-op array run by one switch loop.
 //
 // The split mirrors an assembler's encoder/builder separation:
 // translation here is a pure function of the physical code bytes (no
 // machine state, no accounting), so a different backend — generated Go,
-// or a real JIT — could consume the same IR. Everything the emitter
+// or a real JIT — could consume the same IR. Everything the lowering
 // needs to fold per-block accounting statically (instruction classes,
 // cycle-relevant counts, line-group leaders for I-cache accounting) is
 // precomputed during translation.
@@ -23,8 +23,8 @@ import (
 	"roload/internal/mem"
 )
 
-// Class is the emitter-facing classification of one instruction. It
-// determines both the closure shape and the static cost/stat folding.
+// Class is the lowering-facing classification of one instruction. It
+// determines both the micro-op shape and the static cost/stat folding.
 type Class uint8
 
 const (
@@ -76,7 +76,7 @@ type Inst struct {
 	// Off is the byte offset of the instruction from the block start.
 	Off uint16
 	// LineLeader marks the first instruction fetched from each I-cache
-	// line within the block: the emitter performs a real (possibly
+	// line within the block: the engine performs a real (possibly
 	// missing) cache access for leaders, and credits the followers'
 	// guaranteed hits on that line in one update per line.
 	LineLeader bool

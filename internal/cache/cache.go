@@ -47,21 +47,27 @@ type line struct {
 
 // Cache is a set-associative tag store with true LRU replacement.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every slot, set-major and way-minor: set s occupies
+	// lines[s*ways : (s+1)*ways]. A slot's index into lines is the
+	// handle Last and HitLine trade in.
+	lines    []line
+	ways     int
 	setMask  uint64
 	setBits  uint
 	lineBits uint
 	tick     uint64
 	stats    Stats
 
-	// lastAddr/lastLine short-circuit the way scan for the common case
-	// of consecutive accesses to one line. The pointed-to slot may be
-	// reallocated by an intervening miss, so the fast path re-verifies
-	// validity and tag before trusting it; the accounting it performs
-	// (tick, LRU stamp, hit count, probe event) is exactly the scan's.
-	lastAddr uint64 // line address, valid only when lastLine != nil
-	lastLine *line
+	// lastAddr/last short-circuit the way scan for the common case of
+	// consecutive accesses to one line: last is the slot of the most
+	// recent access to line address lastAddr (noLine when there is
+	// none). The slot may be reallocated by an intervening miss, so the
+	// fast path re-verifies validity and tag before trusting it; the
+	// accounting it performs (tick, LRU stamp, hit count, probe event)
+	// is exactly the scan's.
+	lastAddr uint64
+	last     int
 
 	// probe, when non-nil, observes every access. side tags the events
 	// (I- or D-cache); cycles supplies the timestamp counter.
@@ -82,11 +88,6 @@ func New(cfg Config) *Cache {
 	if numSets == 0 || numSets&(numSets-1) != 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: geometry must be a power of two")
 	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numLines)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	lineBits := uint(0)
 	for 1<<lineBits < cfg.LineBytes {
 		lineBits++
@@ -97,11 +98,24 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, numLines),
+		ways:     cfg.Ways,
 		setMask:  uint64(numSets - 1),
 		setBits:  setBits,
 		lineBits: lineBits,
+		lastAddr: noLine,
 	}
+}
+
+// noLine is the lastAddr of a cache with no last access to repeat: no
+// physical line address reaches it.
+const noLine = ^uint64(0)
+
+// set returns the slots of the set holding line address lineAddr and
+// the index of its first slot.
+func (c *Cache) set(lineAddr uint64) ([]line, int) {
+	base := int(lineAddr&c.setMask) * c.ways
+	return c.lines[base : base+c.ways], base
 }
 
 // Config returns the cache geometry.
@@ -129,20 +143,22 @@ func (c *Cache) Access(pa uint64) bool {
 	lineAddr := pa >> c.lineBits
 	tag := lineAddr >> c.setBits
 	// Fast path: repeat access to the last-touched line.
-	if ll := c.lastLine; ll != nil && c.lastAddr == lineAddr && ll.valid && ll.tag == tag {
-		ll.lru = c.tick
-		c.stats.Hits++
-		if c.probe != nil {
-			c.emit(pa, true)
+	if c.lastAddr == lineAddr {
+		if ll := &c.lines[c.last]; ll.valid && ll.tag == tag {
+			ll.lru = c.tick
+			c.stats.Hits++
+			if c.probe != nil {
+				c.emit(pa, true)
+			}
+			return true
 		}
-		return true
 	}
-	set := c.sets[lineAddr&c.setMask]
+	set, base := c.set(lineAddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.tick
 			c.stats.Hits++
-			c.lastAddr, c.lastLine = lineAddr, &set[i]
+			c.lastAddr, c.last = lineAddr, base+i
 			if c.probe != nil {
 				c.emit(pa, true)
 			}
@@ -164,8 +180,33 @@ func (c *Cache) Access(pa uint64) bool {
 		}
 	}
 	set[victim] = line{tag: tag, valid: true, lru: c.tick}
-	c.lastAddr, c.lastLine = lineAddr, &set[victim]
+	c.lastAddr, c.last = lineAddr, base+victim
 	return false
+}
+
+// Last returns the slot and tag of the line the most recent Access
+// touched (hit or installed). It is meaningful only right after an
+// Access, before any Flush, DropLine or SetState.
+func (c *Cache) Last() (slot int, tag uint64) {
+	return c.last, c.lines[c.last].tag
+}
+
+// HitLine is an Access hit for a caller that remembers where its line
+// lives: when slot still holds tag, it does exactly the bookkeeping of
+// an Access that hits it (tick, LRU stamp, hit count) and reports
+// true; otherwise it changes nothing and reports false, and the caller
+// makes the full Access. It emits no probe event, so callers use it
+// only while no probe is attached. It leaves the last-line shortcut
+// where it was, which only the I-side RepeatLast depends on.
+func (c *Cache) HitLine(slot int, tag uint64) bool {
+	l := &c.lines[slot]
+	if !l.valid || l.tag != tag {
+		return false
+	}
+	c.tick++
+	l.lru = c.tick
+	c.stats.Hits++
+	return true
 }
 
 // RepeatLast credits k more hits to the most recently accessed line,
@@ -178,18 +219,16 @@ func (c *Cache) RepeatLast(k uint64) {
 		return
 	}
 	c.tick += k
-	c.lastLine.lru = c.tick
+	c.lines[c.last].lru = c.tick
 	c.stats.Hits += k
 }
 
 // Flush invalidates the whole cache.
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i].valid = false
-		}
+	for i := range c.lines {
+		c.lines[i].valid = false
 	}
-	c.lastLine = nil
+	c.lastAddr = noLine
 }
 
 // DropLine invalidates the line covering physical address pa, if
@@ -202,12 +241,12 @@ func (c *Cache) Flush() {
 func (c *Cache) DropLine(pa uint64) bool {
 	lineAddr := pa >> c.lineBits
 	tag := lineAddr >> c.setBits
-	set := c.sets[lineAddr&c.setMask]
+	set, base := c.set(lineAddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].valid = false
-			if c.lastLine == &set[i] {
-				c.lastLine = nil
+			if c.last == base+i {
+				c.lastAddr = noLine
 			}
 			return true
 		}
@@ -234,11 +273,9 @@ type State struct {
 
 // State captures the cache for a checkpoint.
 func (c *Cache) State() State {
-	lines := make([]LineState, 0, len(c.sets)*c.cfg.Ways)
-	for _, set := range c.sets {
-		for i := range set {
-			lines = append(lines, LineState{Tag: set[i].tag, Valid: set[i].valid, LRU: set[i].lru})
-		}
+	lines := make([]LineState, len(c.lines))
+	for i, l := range c.lines {
+		lines[i] = LineState{Tag: l.tag, Valid: l.valid, LRU: l.lru}
 	}
 	return State{Tick: c.tick, Stats: c.stats, Lines: lines}
 }
@@ -246,19 +283,15 @@ func (c *Cache) State() State {
 // SetState restores a checkpointed cache state; the geometry must
 // match the cache it is restored into.
 func (c *Cache) SetState(s State) error {
-	if len(s.Lines) != len(c.sets)*c.cfg.Ways {
-		return fmt.Errorf("cache: restoring %d lines into a %d-line cache", len(s.Lines), len(c.sets)*c.cfg.Ways)
+	if len(s.Lines) != len(c.lines) {
+		return fmt.Errorf("cache: restoring %d lines into a %d-line cache", len(s.Lines), len(c.lines))
 	}
-	k := 0
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{tag: s.Lines[k].Tag, valid: s.Lines[k].Valid, lru: s.Lines[k].LRU}
-			k++
-		}
+	for i, l := range s.Lines {
+		c.lines[i] = line{tag: l.Tag, valid: l.Valid, lru: l.LRU}
 	}
 	c.tick = s.Tick
 	c.stats = s.Stats
-	c.lastLine = nil
+	c.lastAddr = noLine
 	return nil
 }
 

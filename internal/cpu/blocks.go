@@ -1,28 +1,30 @@
 package cpu
 
 // The block engine: guest basic blocks are translated once
-// (internal/block) and emitted as chains of pre-bound closures, so
-// straight-line code runs with no per-instruction fetch, decode or
-// dispatch. Like every fast path in this simulator it may change host
-// time only — cycles, statistics, TLB/cache state, memory, traps and
-// checkpoints are bit-identical to the interpreter. The accounting
-// partition that preserves that invariant:
+// (internal/block) and lowered to flat arrays of micro-ops (uops) that
+// execBlock runs in one switch loop, so straight-line code runs with
+// no per-instruction fetch, decode or call. Like every fast path in
+// this simulator it may change host time only — cycles, statistics,
+// TLB/cache state, memory, traps and checkpoints are bit-identical to
+// the interpreter. The accounting partition that preserves that
+// invariant:
 //
 //   - Folded at translate time, applied in one update when a block
 //     fully retires: base cycles, multiply/divide/jump extras, retire
 //     counts and the static instruction-mix statistics.
-//   - Charged inline by each closure, in the interpreter's exact
-//     order: the taken-branch penalty, and every D-side access through
-//     the interpreter's own load/store helpers. An access inside one
-//     page whose translation hits the D-side L0 (mmu.DataHit) makes the
-//     TLB-hit bookkeeping, the LoadStore charge and the real D-cache
-//     access, then reads or writes the cached host frame; anything
-//     else takes the full path (dataAccess: translation walks, the
-//     straddling second translation, cache misses).
-//   - Settled once per I-cache line: each line's leader makes the
-//     real (possibly missing) I-cache access; its followers' fetches
-//     are guaranteed hits on that line, credited in one update when
-//     the next leader runs or the block exits. Inside a block only
+//   - Charged inline by the loop, in the interpreter's exact order:
+//     the taken-branch penalty, and every D-side access. A load or
+//     store the D-side line memo passes (memo.go) makes the TLB-hit
+//     bookkeeping, the LoadStore charge and the D-cache hit, then
+//     reads or writes the host frame, all without a call; anything
+//     else calls the interpreter's own load/store helpers, which take
+//     the full path (dataAccess: translation walks, the straddling
+//     second translation, cache misses) and refill the memo.
+//   - Settled once per I-cache line: each line's leader uop carries a
+//     flag and the follower count of the run before it; it credits
+//     those followers' fetches, guaranteed hits on their leader's
+//     line, in one update, then makes its own real (possibly missing)
+//     I-cache access. The last run is credited when the block exits. Inside a block only
 //     fetches touch the I-cache and I-TLB, so the bulk credit leaves
 //     exactly the tick, LRU and hit state of per-instruction accesses.
 //     Every fetch past the first is a guaranteed I-TLB hit (same
@@ -48,26 +50,62 @@ import (
 	"roload/internal/mmu"
 )
 
-// blockStatus is the result of one block-op closure.
-type blockStatus uint8
+// uopKind selects the loop's case for one uop.
+type uopKind uint8
 
 const (
-	blkOK blockStatus = iota
-	// blkTrap: the op did not retire; c.blkTrap holds the trap and
-	// blockExit replays the prefix accounting.
-	blkTrap
-	// blkSelfMod: the op (a store) retired but invalidated its own
-	// block's code page; execution side-exits after it so stale
-	// translations never run.
-	blkSelfMod
+	uNop uopKind = iota // FENCE, and ALU ops whose rd is x0
+	uSet                // rd = imm: LUI and AUIPC, value folded
+	uAddi
+	uAndi
+	uOri
+	uXori
+	uSlli
+	uSrli
+	uSrai
+	uAdd
+	uSub
+	uAnd
+	uOr
+	uXor
+	uAddiw
+	uAddw
+	uSltu
+	uALU // every other ALU op, multiply and divide: aluCompute
+	uLoad
+	uROLoad
+	uStore
+	uBeq
+	uBne
+	uBlt
+	uBge
+	uBltu
+	uBgeu
+	uJal
+	uJalr
 )
 
-type blockOp func(c *CPU) blockStatus
+// uop is one lowered instruction in 32 bytes, operands resolved at
+// translate time (x0 destinations of pure ALU ops dropped, immediates
+// pre-extended, PC-relative values precomputed). Register fields index
+// c.Regs masked with &31, which lets the compiler drop the bounds
+// checks (isa.NumRegs is 32).
+type uop struct {
+	kind         uopKind
+	rd, rs1, rs2 isa.Reg
+	width        uint8 // load/store bytes
+	shift        uint8 // load sign extension: 64-8*width when signed, else 0
+	lead         bool  // first instruction fetched from its I-cache line
+	follow       uint8 // for a leader: followers in the run before it
+	pc           uint64
+	imm          uint64 // immediate, offset, folded value or jump target
+	aux          uint64 // link address, ROLoad key or generic ALU opcode
+}
 
-// compiledBlock is one emitted superblock plus its cache metadata.
+// compiledBlock is one lowered superblock plus its cache metadata.
 type compiledBlock struct {
 	src *block.Block
-	ops []blockOp
+	ops []uop
 	n   uint64
 	// statCycles is the folded static cycle total of a full
 	// retirement: n×Base plus multiply/divide/jump extras.
@@ -221,26 +259,140 @@ func (c *CPU) runBlocks(bound uint64) *Trap {
 	return nil
 }
 
-// compileBlock translates and emits the block starting at va/pa and
+// compileBlock translates and lowers the block starting at va/pa and
 // caches it (possibly as an interpreter-only marker).
 func (c *CPU) compileBlock(va, pa uint64) *compiledBlock {
 	src := block.Translate(c.phys, va, pa, c.cfg.ICache.LineBytes, c.cfg.ROLoadEnabled)
-	b := c.emitBlock(src)
+	b := c.lowerBlock(src)
 	c.blocks[va] = b
 	return b
 }
 
 // execBlock runs an entered block. The first instruction's fetch
 // accounting has been performed by the dispatcher; every later line
-// leader's closure settles the line run before it. On full retirement
-// the last run's fetch credits and the folded static accounting are
-// applied in one update.
+// leader settles the line run before it. On full retirement the last
+// run's fetch credits and the folded static accounting are applied in
+// one update. The block engine runs only with the fast paths on and no
+// probe or injector attached, so the D-side line memo is always in use
+// here.
 func (c *CPU) execBlock(b *compiledBlock) *Trap {
-	c.blkNext = b.fallVA
-	for i, op := range b.ops {
-		if st := op(c); st != blkOK {
-			return c.blockExit(b, i, st)
+	r := &c.Regs
+	cost := &c.cfg.Cost
+	next := b.fallVA
+	taken := false
+	for i := range b.ops {
+		op := &b.ops[i]
+		if op.lead {
+			c.icache.RepeatLast(uint64(op.follow))
+			if !c.icache.Access(b.src.PA + (op.pc - b.src.VA)) {
+				c.Cycles += cost.CacheMiss
+			}
 		}
+		switch op.kind {
+		case uNop:
+		case uSet:
+			r[op.rd&31] = op.imm
+		case uAddi:
+			r[op.rd&31] = r[op.rs1&31] + op.imm
+		case uAndi:
+			r[op.rd&31] = r[op.rs1&31] & op.imm
+		case uOri:
+			r[op.rd&31] = r[op.rs1&31] | op.imm
+		case uXori:
+			r[op.rd&31] = r[op.rs1&31] ^ op.imm
+		case uSlli:
+			r[op.rd&31] = r[op.rs1&31] << (op.imm & 63)
+		case uSrli:
+			r[op.rd&31] = r[op.rs1&31] >> (op.imm & 63)
+		case uSrai:
+			r[op.rd&31] = uint64(int64(r[op.rs1&31]) >> (op.imm & 63))
+		case uAdd:
+			r[op.rd&31] = r[op.rs1&31] + r[op.rs2&31]
+		case uSub:
+			r[op.rd&31] = r[op.rs1&31] - r[op.rs2&31]
+		case uAnd:
+			r[op.rd&31] = r[op.rs1&31] & r[op.rs2&31]
+		case uOr:
+			r[op.rd&31] = r[op.rs1&31] | r[op.rs2&31]
+		case uXor:
+			r[op.rd&31] = r[op.rs1&31] ^ r[op.rs2&31]
+		case uAddiw:
+			r[op.rd&31] = sext32(r[op.rs1&31] + op.imm)
+		case uAddw:
+			r[op.rd&31] = sext32(r[op.rs1&31] + r[op.rs2&31])
+		case uSltu:
+			var v uint64
+			if r[op.rs1&31] < r[op.rs2&31] {
+				v = 1
+			}
+			r[op.rd&31] = v
+		case uALU:
+			r[op.rd&31] = aluCompute(isa.Op(op.aux), r[op.rs1&31], r[op.rs2&31], op.imm)
+		case uLoad, uROLoad:
+			// A ROLoad's immediate is its key, so op.imm is 0 and the
+			// key sits in op.aux.
+			va := r[op.rs1&31] + op.imm
+			n := int(op.width)
+			var v uint64
+			e := c.memoEntryFor(va, uint64(n))
+			if e != nil && (op.kind == uLoad && e.read || op.kind == uROLoad && e.roload && e.key == uint16(op.aux)) && c.memoHit(e) {
+				v = e.frame.ReadUint(va, n)
+			} else {
+				at, key := mmu.Read, uint16(0)
+				if op.kind == uROLoad {
+					at, key = mmu.ROLoadRead, uint16(op.aux)
+				}
+				var trap *Trap
+				if v, trap = c.load(va, n, at, key, op.pc, b.src.Insts[i].In); trap != nil {
+					return c.blockExit(b, i, trap)
+				}
+			}
+			if op.rd != isa.Zero {
+				r[op.rd&31] = uint64(int64(v<<op.shift) >> op.shift)
+			}
+		case uStore:
+			va, v := r[op.rs1&31]+op.imm, r[op.rs2&31]
+			n := int(op.width)
+			if e := c.memoEntryFor(va, uint64(n)); e != nil && e.write && c.memoHit(e) {
+				e.frame.WriteUint(va, v, n)
+			} else if trap := c.store(va, v, n, op.pc, b.src.Insts[i].In); trap != nil {
+				return c.blockExit(b, i, trap)
+			}
+			// A store into the running code side-exits before any
+			// stale instruction executes.
+			if !b.src.Ref.Valid() {
+				return c.blockExit(b, i, nil)
+			}
+		case uBeq:
+			taken = r[op.rs1&31] == r[op.rs2&31]
+		case uBne:
+			taken = r[op.rs1&31] != r[op.rs2&31]
+		case uBlt:
+			taken = int64(r[op.rs1&31]) < int64(r[op.rs2&31])
+		case uBge:
+			taken = int64(r[op.rs1&31]) >= int64(r[op.rs2&31])
+		case uBltu:
+			taken = r[op.rs1&31] < r[op.rs2&31]
+		case uBgeu:
+			taken = r[op.rs1&31] >= r[op.rs2&31]
+		case uJal:
+			if op.rd != isa.Zero {
+				r[op.rd&31] = op.aux
+			}
+			next = op.imm
+		case uJalr:
+			t := (r[op.rs1&31] + op.imm) &^ 1
+			if op.rd != isa.Zero {
+				r[op.rd&31] = op.aux
+			}
+			next = t
+		}
+	}
+	// A conditional branch is always the block's last instruction.
+	if taken {
+		c.Cycles += cost.TakenBranch
+		c.stats.TakenBranch++
+		next = b.takenVA
 	}
 	c.icache.RepeatLast(b.tailHits)
 	c.imem.BumpTLBHits(b.n - 1)
@@ -254,16 +406,17 @@ func (c *CPU) execBlock(b *compiledBlock) *Trap {
 	c.stats.MulDiv += cnt.MulDiv
 	c.stats.Branches += cnt.Branches
 	c.stats.Jumps += cnt.Jumps
-	c.PC = c.blkNext
+	c.PC = next
 	return nil
 }
 
 // blockExit settles a side exit at instruction i: the fetch credits
 // of instructions 1..i, the folded static accounting of the
-// instructions that did retire, then — for a trap —
-// the faulting instruction's pre-fault charges and the trap charge,
-// exactly as the interpreter orders them.
-func (c *CPU) blockExit(b *compiledBlock, i int, st blockStatus) *Trap {
+// instructions that did retire, then — for a trap — the faulting
+// instruction's pre-fault charges and the trap charge, exactly as the
+// interpreter orders them. A nil trap is a store that retired into its
+// own block's code page; execution resumes after it.
+func (c *CPU) blockExit(b *compiledBlock, i int, trap *Trap) *Trap {
 	cost := &c.cfg.Cost
 	// Instruction i was fetched before it executed. Earlier line runs
 	// were settled by their successors' leaders; credit the current
@@ -275,7 +428,7 @@ func (c *CPU) blockExit(b *compiledBlock, i int, st blockStatus) *Trap {
 	}
 	c.icache.RepeatLast(uint64(i - lead))
 	retired := i
-	if st == blkSelfMod {
+	if trap == nil {
 		retired = i + 1
 	}
 	for j := 0; j < retired; j++ {
@@ -283,7 +436,7 @@ func (c *CPU) blockExit(b *compiledBlock, i int, st blockStatus) *Trap {
 	}
 	c.Instret += uint64(retired)
 	c.stats.Instructions += uint64(retired)
-	if st == blkSelfMod {
+	if trap == nil {
 		c.PC = b.src.VA + uint64(b.offAfter(i))
 		return nil
 	}
@@ -303,8 +456,6 @@ func (c *CPU) blockExit(b *compiledBlock, i int, st blockStatus) *Trap {
 	c.stats.Traps++
 	c.Cycles += cost.Trap
 	c.PC = b.src.VA + uint64(b.src.Insts[i].Off)
-	trap := c.blkTrap
-	c.blkTrap = nil
 	return trap
 }
 
@@ -341,8 +492,9 @@ func (c *CPU) applyStatic(cl block.Class, cost *CostModel) {
 	}
 }
 
-// emitBlock lowers translated IR to the closure chain.
-func (c *CPU) emitBlock(src *block.Block) *compiledBlock {
+// lowerBlock lowers translated IR to the uop array and folds the
+// block's static accounting.
+func (c *CPU) lowerBlock(src *block.Block) *compiledBlock {
 	b := &compiledBlock{src: src}
 	if src.Kind != block.KindBlock {
 		return b
@@ -361,227 +513,77 @@ func (c *CPU) emitBlock(src *block.Block) *compiledBlock {
 			b.hasTaken = true
 		}
 	}
-	b.ops = make([]blockOp, n)
+	b.ops = make([]uop, n)
 	lead := 0 // index of the current line run's leader
 	for i, bi := range src.Insts {
-		body := c.emitOp(b, bi)
-		if i == 0 || !bi.LineLeader {
-			// The dispatcher performs the first instruction's fetch
-			// accounting at block entry; a follower's fetch is a
-			// guaranteed hit on its leader's line, credited in bulk.
-			b.ops[i] = body
-			continue
-		}
-		followers := uint64(i - lead - 1) // of the run this leader closes
-		lead = i
-		ipa := src.PA + uint64(bi.Off)
-		b.ops[i] = func(c *CPU) blockStatus {
-			c.icache.RepeatLast(followers)
-			if !c.icache.Access(ipa) {
-				c.Cycles += c.cfg.Cost.CacheMiss
-			}
-			return body(c)
+		b.ops[i] = lowerInst(bi, src.VA+uint64(bi.Off))
+		// The dispatcher performs the first instruction's fetch
+		// accounting at block entry; a follower's fetch is a
+		// guaranteed hit on its leader's line, credited in bulk.
+		if i > 0 && bi.LineLeader {
+			b.ops[i].lead = true
+			b.ops[i].follow = uint8(i - lead - 1)
+			lead = i
 		}
 	}
 	b.tailHits = uint64(n - 1 - lead)
 	return b
 }
 
-// emitOp emits the body closure of one instruction, operands resolved
-// at translate time (x0 destinations discarded, immediates
-// pre-extended, PC-relative values precomputed).
-func (c *CPU) emitOp(b *compiledBlock, bi block.Inst) blockOp {
+// lowerInst lowers one instruction at pc. Multiply/divide charges are
+// folded statically, so ALU uops only produce the value.
+func lowerInst(bi block.Inst, pc uint64) uop {
 	in := bi.In
-	pcI := b.src.VA + uint64(bi.Off)
+	op := uop{rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, pc: pc, imm: uint64(in.Imm)}
 	switch bi.Class {
-	case block.ClassALU, block.ClassMul, block.ClassDiv:
-		return emitALU(in, pcI)
 	case block.ClassFence:
-		return func(c *CPU) blockStatus { return blkOK }
+		op.kind = uNop
 	case block.ClassLoad, block.ClassROLoad:
-		return emitLoad(in, bi.Class, pcI)
-	case block.ClassStore:
-		return emitStore(b, in, pcI)
-	case block.ClassBranch:
-		return emitBranch(in, pcI, c.cfg.Cost.TakenBranch)
-	case block.ClassJAL:
-		rd := in.Rd
-		link := pcI + uint64(in.Size)
-		target := pcI + uint64(in.Imm)
-		return func(c *CPU) blockStatus {
-			if rd != isa.Zero {
-				c.Regs[rd] = link
-			}
-			c.blkNext = target
-			return blkOK
-		}
-	default: // block.ClassJALR
-		rd, rs1 := in.Rd, in.Rs1
-		imm := uint64(in.Imm)
-		link := pcI + uint64(in.Size)
-		return func(c *CPU) blockStatus {
-			t := (c.Regs[rs1] + imm) &^ 1
-			if rd != isa.Zero {
-				c.Regs[rd] = link
-			}
-			c.blkNext = t
-			return blkOK
-		}
-	}
-}
-
-// emitALU specializes the hottest ALU forms and falls back to the
-// shared pure compute function; multiply/divide charges are folded
-// statically, so bodies only produce the value.
-func emitALU(in isa.Inst, pcI uint64) blockOp {
-	rd, rs1, rs2 := in.Rd, in.Rs1, in.Rs2
-	imm := uint64(in.Imm)
-	if rd == isa.Zero {
-		// The destination is discarded and ALU ops have no other
-		// architectural effect; accounting is folded.
-		return func(c *CPU) blockStatus { return blkOK }
-	}
-	switch in.Op {
-	case isa.LUI:
-		v := uint64(in.Imm)
-		return func(c *CPU) blockStatus { c.Regs[rd] = v; return blkOK }
-	case isa.AUIPC:
-		v := pcI + uint64(in.Imm)
-		return func(c *CPU) blockStatus { c.Regs[rd] = v; return blkOK }
-	case isa.ADDI:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] + imm; return blkOK }
-	case isa.ANDI:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] & imm; return blkOK }
-	case isa.ORI:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] | imm; return blkOK }
-	case isa.XORI:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] ^ imm; return blkOK }
-	case isa.SLLI:
-		sh := imm & 63
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] << sh; return blkOK }
-	case isa.SRLI:
-		sh := imm & 63
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] >> sh; return blkOK }
-	case isa.SRAI:
-		sh := imm & 63
-		return func(c *CPU) blockStatus {
-			c.Regs[rd] = uint64(int64(c.Regs[rs1]) >> sh)
-			return blkOK
-		}
-	case isa.ADD:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] + c.Regs[rs2]; return blkOK }
-	case isa.SUB:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] - c.Regs[rs2]; return blkOK }
-	case isa.AND:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] & c.Regs[rs2]; return blkOK }
-	case isa.OR:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] | c.Regs[rs2]; return blkOK }
-	case isa.XOR:
-		return func(c *CPU) blockStatus { c.Regs[rd] = c.Regs[rs1] ^ c.Regs[rs2]; return blkOK }
-	case isa.ADDIW:
-		return func(c *CPU) blockStatus { c.Regs[rd] = sext32(c.Regs[rs1] + imm); return blkOK }
-	case isa.ADDW:
-		return func(c *CPU) blockStatus {
-			c.Regs[rd] = sext32(c.Regs[rs1] + c.Regs[rs2])
-			return blkOK
-		}
-	case isa.SLTU:
-		return func(c *CPU) blockStatus {
-			var v uint64
-			if c.Regs[rs1] < c.Regs[rs2] {
-				v = 1
-			}
-			c.Regs[rd] = v
-			return blkOK
-		}
-	default:
-		op := in.Op
-		return func(c *CPU) blockStatus {
-			c.Regs[rd] = aluCompute(op, c.Regs[rs1], c.Regs[rs2], imm)
-			return blkOK
-		}
-	}
-}
-
-// emitLoad emits regular and ROLoad loads through the interpreter's
-// own D-side helper (CPU.load) — translation, key check, cache and
-// walk accounting — so a revoked key faults here exactly as it would
-// in the interpreter, however stale the enclosing block.
-func emitLoad(in isa.Inst, cl block.Class, pcI uint64) blockOp {
-	n, unsigned := in.Op.LoadWidth()
-	at := mmu.Read
-	key := uint16(0)
-	imm := uint64(in.Imm)
-	if cl == block.ClassROLoad {
-		at = mmu.ROLoadRead
-		key = in.Key
-		imm = 0 // the immediate is the key, not an offset
-	}
-	rd, rs1 := in.Rd, in.Rs1
-	shift := uint(64 - 8*n)
-	return func(c *CPU) blockStatus {
-		v, trap := c.load(c.Regs[rs1]+imm, n, at, key, pcI, in)
-		if trap != nil {
-			c.blkTrap = trap
-			return blkTrap
-		}
+		n, unsigned := in.Op.LoadWidth()
+		op.kind, op.width = uLoad, uint8(n)
 		if !unsigned {
-			v = uint64(int64(v<<shift) >> shift)
+			op.shift = uint8(64 - 8*n)
 		}
-		if rd != isa.Zero {
-			c.Regs[rd] = v
+		if bi.Class == block.ClassROLoad {
+			op.kind, op.imm, op.aux = uROLoad, 0, uint64(in.Key)
 		}
-		return blkOK
+	case block.ClassStore:
+		n, _ := in.Op.LoadWidth()
+		op.kind, op.width = uStore, uint8(n)
+	case block.ClassBranch:
+		op.kind = branchKinds[in.Op]
+	case block.ClassJAL:
+		op.kind, op.imm, op.aux = uJal, pc+uint64(in.Imm), pc+uint64(in.Size)
+	case block.ClassJALR:
+		op.kind, op.aux = uJalr, pc+uint64(in.Size)
+	default: // block.ClassALU, block.ClassMul, block.ClassDiv
+		switch k, ok := aluKinds[in.Op]; {
+		case in.Rd == isa.Zero:
+			// The destination is discarded and ALU ops have no other
+			// architectural effect; accounting is folded.
+			op.kind = uNop
+		case in.Op == isa.AUIPC:
+			op.kind, op.imm = uSet, pc+uint64(in.Imm)
+		case ok:
+			op.kind = k
+		default:
+			op.kind, op.aux = uALU, uint64(in.Op)
+		}
 	}
+	return op
 }
 
-// emitStore emits a store through CPU.store; after the write it
-// revalidates the enclosing block's own page so a store into the
-// running code side-exits before any stale instruction executes.
-func emitStore(b *compiledBlock, in isa.Inst, pcI uint64) blockOp {
-	n, _ := in.Op.LoadWidth()
-	rs1, rs2 := in.Rs1, in.Rs2
-	imm := uint64(in.Imm)
-	return func(c *CPU) blockStatus {
-		if trap := c.store(c.Regs[rs1]+imm, c.Regs[rs2], n, pcI, in); trap != nil {
-			c.blkTrap = trap
-			return blkTrap
-		}
-		if !b.src.Ref.Valid() {
-			return blkSelfMod
-		}
-		return blkOK
-	}
+// aluKinds maps the ALU opcodes the loop specialises to their uop;
+// every other ALU opcode lowers to uALU.
+var aluKinds = map[isa.Op]uopKind{
+	isa.LUI: uSet, isa.ADDI: uAddi, isa.ANDI: uAndi, isa.ORI: uOri,
+	isa.XORI: uXori, isa.SLLI: uSlli, isa.SRLI: uSrli, isa.SRAI: uSrai,
+	isa.ADD: uAdd, isa.SUB: uSub, isa.AND: uAnd, isa.OR: uOr,
+	isa.XOR: uXor, isa.ADDIW: uAddiw, isa.ADDW: uAddw, isa.SLTU: uSltu,
 }
 
-// emitBranch emits the conditional-branch terminator; the Branches
-// statistic is folded, the taken penalty charged dynamically.
-func emitBranch(in isa.Inst, pcI uint64, takenCost uint64) blockOp {
-	op := in.Op
-	rs1, rs2 := in.Rs1, in.Rs2
-	takenVA := pcI + uint64(in.Imm)
-	return func(c *CPU) blockStatus {
-		a, b := c.Regs[rs1], c.Regs[rs2]
-		var taken bool
-		switch op {
-		case isa.BEQ:
-			taken = a == b
-		case isa.BNE:
-			taken = a != b
-		case isa.BLT:
-			taken = int64(a) < int64(b)
-		case isa.BGE:
-			taken = int64(a) >= int64(b)
-		case isa.BLTU:
-			taken = a < b
-		case isa.BGEU:
-			taken = a >= b
-		}
-		if taken {
-			c.Cycles += takenCost
-			c.stats.TakenBranch++
-			c.blkNext = takenVA
-		}
-		return blkOK
-	}
+// branchKinds maps each conditional branch to its uop.
+var branchKinds = map[isa.Op]uopKind{
+	isa.BEQ: uBeq, isa.BNE: uBne, isa.BLT: uBlt,
+	isa.BGE: uBge, isa.BLTU: uBltu, isa.BGEU: uBgeu,
 }

@@ -204,11 +204,15 @@ type CPU struct {
 	// against a fresh I-side translation on every entry, exactly like
 	// the predecode cache plus a physical-address match. Dropped on
 	// SetPageTableRoot and SetState (checkpoint restore); rebuilt
-	// lazily. blkNext/blkTrap are per-block-execution scratch.
+	// lazily.
 	useBlocks bool
 	blocks    map[uint64]*compiledBlock
-	blkNext   uint64
-	blkTrap   *Trap
+
+	// D-side line memo (see memo.go), consulted only while useMemo:
+	// fast paths on, a D-cache geometry the memo fits and no probe
+	// attached.
+	memo    [memoSlots]memoEntry
+	useMemo bool
 
 	// Tracer, when non-nil, observes every fetched-and-decoded
 	// instruction before it executes (so instructions that subsequently
@@ -277,6 +281,7 @@ func New(phys *mem.Physical, cfg Config) *CPU {
 		useFast: !cfg.NoFastPath,
 	}
 	c.useBlocks = c.useFast && !cfg.NoBlocks
+	c.useMemo = c.useFast && memoFits(cfg)
 	if c.useFast {
 		c.predecode = make(map[uint64]*pageCode)
 	}
@@ -358,9 +363,9 @@ func (c *CPU) SetInjector(ij Injector) { c.inject = ij }
 // State is the complete checkpointable core state: architectural
 // registers and counters, statistics, and the exact TLB and cache
 // contents of the memory hierarchy. Host-side fast-path caches
-// (predecode, L0, last-line) are absent by design: they change host
-// time only, so rebuilding them lazily after a restore is bit-identical
-// (the PR 2 fast-path invariant).
+// (predecode, L0, D-side line memo, last-line) are absent by design:
+// they change host time only, so rebuilding them lazily after a
+// restore is bit-identical (the fast-path invariant).
 type State struct {
 	Regs    [isa.NumRegs]uint64 `json:"regs"`
 	PC      uint64              `json:"pc"`
@@ -392,7 +397,9 @@ func (c *CPU) State() State {
 // restored exactly (no flush), so the instruction, miss and cycle
 // streams after a resume replay bit-identically against an
 // uninterrupted run. The predecode cache is dropped; it repopulates
-// lazily.
+// lazily. The D-side line memo needs no drop: restoring the D-side MMU
+// bumps its generation, and each hit rechecks the cache line and the
+// frame's liveness.
 func (c *CPU) SetState(s State) error {
 	if err := c.imem.SetState(s.IMMU); err != nil {
 		return err
@@ -426,6 +433,7 @@ func (c *CPU) SetState(s State) error {
 // everything; the hot path then costs one nil check per site.
 func (c *CPU) SetProbe(p obs.Probe) {
 	c.probe = p
+	c.useMemo = c.useFast && memoFits(c.cfg) && p == nil
 	c.imem.SetProbe(p, obs.SideI, &c.Cycles)
 	c.dmem.SetProbe(p, obs.SideD, &c.Cycles)
 	c.icache.SetProbe(p, obs.SideI, &c.Cycles)
@@ -595,28 +603,29 @@ func (c *CPU) fetchDecodeSlow(pc, pa uint64) (isa.Inst, bool, *Trap) {
 
 // load performs the D-side half of an n-byte load of kind at (key is
 // the ROLoad key) at va for instruction in at pc, shared by Step and
-// the block engine: translation with every permission and key check,
-// the walk, LoadStore and D-cache charges, and the read. An access
-// inside one page whose translation hits the D-side L0 (mmu.DataHit)
-// reads the cached host frame directly; anything else — a miss, an
-// access the full check must judge, a page-straddling access — takes
-// the full path. Both charge the same cycles in the same order.
+// the block engine's slow path: translation with every permission and
+// key check, the walk, LoadStore and D-cache charges, and the read. An
+// access the D-side line memo passes reads the host frame directly;
+// anything else — a memo miss, a page-straddling access — takes the
+// full path, and an in-page one refills the memo. Both make the same
+// charges in the same order.
 func (c *CPU) load(va uint64, n int, at mmu.Access, key uint16, pc uint64, in isa.Inst) (uint64, *Trap) {
-	inPage := va&(mem.PageSize-1)+uint64(n) <= mem.PageSize
-	if inPage {
-		if pa, fr, ok := c.dmem.DataHit(va, at, key); ok {
-			c.chargeDCache(pa)
-			return fr.ReadUint(pa, n), nil
+	if c.useMemo {
+		if e := c.memoEntryFor(va, uint64(n)); e != nil && e.passes(at, key) && c.memoHit(e) {
+			return e.frame.ReadUint(va, n), nil
 		}
 	}
 	pa, trap := c.dataAccess(va, n, at, key, pc, in)
 	if trap != nil {
 		return 0, trap
 	}
-	if inPage {
+	if va&(mem.PageSize-1)+uint64(n) <= mem.PageSize {
 		v, err := c.phys.ReadUint(pa, n)
 		if err != nil {
 			return 0, memTrap(err, mmu.FaultLoadPage, va, pc, in)
+		}
+		if c.useMemo {
+			c.memoFill(va, pa, at, key)
 		}
 		return v, nil
 	}
@@ -646,11 +655,9 @@ func (c *CPU) load(va uint64, n int, at mmu.Access, key uint16, pc uint64, in is
 // With an injector attached every store takes the full path, because
 // FilterStore must see each one (a dropped store is still charged).
 func (c *CPU) store(va, v uint64, n int, pc uint64, in isa.Inst) *Trap {
-	inPage := va&(mem.PageSize-1)+uint64(n) <= mem.PageSize
-	if inPage && c.inject == nil {
-		if pa, fr, ok := c.dmem.DataHit(va, mmu.Write, 0); ok {
-			c.chargeDCache(pa)
-			fr.WriteUint(pa, v, n)
+	if c.useMemo && c.inject == nil {
+		if e := c.memoEntryFor(va, uint64(n)); e != nil && e.write && c.memoHit(e) {
+			e.frame.WriteUint(va, v, n)
 			return nil
 		}
 	}
@@ -658,9 +665,12 @@ func (c *CPU) store(va, v uint64, n int, pc uint64, in isa.Inst) *Trap {
 	if trap != nil || c.inject != nil && !c.inject.FilterStore(va, pa, n) {
 		return trap
 	}
-	if inPage {
+	if va&(mem.PageSize-1)+uint64(n) <= mem.PageSize {
 		if err := c.phys.WriteUint(pa, v, n); err != nil {
 			return memTrap(err, mmu.FaultStorePage, va, pc, in)
+		}
+		if c.useMemo {
+			c.memoFill(va, pa, mmu.Write, 0)
 		}
 		return nil
 	}

@@ -91,6 +91,12 @@ func FuzzBlockTranslate(f *testing.F) {
 	f.Add(word(0xFE213C23, 0xFE213823)) // sd sp,-8(sp); sd sp,-16(sp)
 	f.Add(word(0x03C13503))             // ld a0,60(sp)
 	f.Add(word(0x00000597, 0x0005A023)) // auipc a1,0; sw zero,0(a1)
+	// The D-side line memo: every width, loads and stores alternating
+	// on one line, so each access after the first merges or reuses
+	// that line's outcomes; and an access crossing a line boundary
+	// inside the page (sp is line-aligned), which never hits the memo.
+	f.Add(word(0xFF813583, 0xFEB13C23, 0xFFC12603, 0xFEC10FA3, 0xFFF14683, 0xFFE11703)) // ld a1,-8(sp); sd a1,-8(sp); lw a2,-4(sp); sb a2,-1(sp); lbu a3,-1(sp); lh a4,-2(sp)
+	f.Add(word(0xFEA13E23, 0xFFC13503))                                                 // sd a0,-4(sp); ld a0,-4(sp)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		img, err := buildFuzzProgram(raw)

@@ -9,9 +9,9 @@
 // through a staging buffer — and the last-touched page is cached to
 // skip the map lookup. The last-page pointer holds one page, so it
 // misses whenever stack and global accesses alternate; the D-side hit
-// path therefore bypasses it: each MMU L0 slot caches a Frame, the
-// host page behind its translation, and loads and stores that hit the
-// slot go straight to the frame. All paths produce bit-identical
+// path therefore bypasses it: each entry of the CPU's D-side line memo
+// caches a Frame, the host page behind its translation, and loads and
+// stores that hit the entry go straight to the frame. All paths produce bit-identical
 // contents; they are purely host-time optimizations.
 //
 // Each page additionally carries a write generation counter, exposed
@@ -288,7 +288,7 @@ func (r PageRef) Valid() bool { return r.pg != nil && r.pg.gen == r.snap }
 
 // Frame is a handle on the host storage of one allocated physical
 // page, for consumers that cache the page behind a translation (the
-// MMU's L0 slots). Unlike Ref, looking a Frame up never allocates, and
+// CPU's D-side line memo). Unlike Ref, looking a Frame up never allocates, and
 // writes through it do not invalidate it: it goes dead only when the
 // page leaves the page map (ZeroPage, RestorePages), after which the
 // holder must look it up again.
@@ -308,15 +308,16 @@ func (p *Physical) Frame(addr uint64) Frame {
 // Live reports whether the frame still backs its physical page.
 func (f Frame) Live() bool { return f.pg != nil && !f.pg.dead }
 
-// ReadUint reads the n-byte little-endian value at physical address
-// addr, which must lie in this live frame with all n bytes inside the
-// page — the caller's translation guarantees both.
+// ReadUint reads the n-byte little-endian value at the in-page offset
+// of addr, with all n bytes inside the page, from this live frame. addr
+// may be the physical address or the virtual one that translated to
+// it: a translation keeps the page offset.
 func (f Frame) ReadUint(addr uint64, n int) uint64 {
 	return f.pg.load(addr&(PageSize-1), n)
 }
 
-// WriteUint writes the low n bytes of v at physical address addr under
-// the same conditions as ReadUint, bumping the page's write generation
+// WriteUint writes the low n bytes of v at the in-page offset of addr
+// under the same conditions as ReadUint, bumping the page's write generation
 // exactly as Physical.WriteUint does.
 func (f Frame) WriteUint(addr uint64, v uint64, n int) {
 	f.pg.store(addr&(PageSize-1), v, n)

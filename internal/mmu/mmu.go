@@ -154,9 +154,7 @@ const l0Slots = 16
 // outcome per access kind, computed by fill from the entry it mirrors:
 // an access the outcome passes needs no call to check. The ROLoad key
 // itself is still compared on every access, against the entry the TLB
-// holds now. For DataHit the slot also caches the host frame behind
-// the translation, resolved lazily and re-resolved once ZeroPage or
-// RestorePages kills it.
+// holds now.
 type l0Entry struct {
 	vpn uint64
 	e   TLBEntry // e.Valid doubles as the slot-valid bit
@@ -164,7 +162,6 @@ type l0Entry struct {
 	read, write, exec bool
 	roKey             int32 // key a ROLoadRead must carry to pass; noROKey when none can
 	pa                uint64
-	frame             mem.Frame
 }
 
 // noROKey marks a slot no ROLoadRead passes without the full check:
@@ -199,12 +196,17 @@ type MMU struct {
 	// l0 is the inline translation cache. Invariant: every valid slot
 	// holds a translation currently present in the TLB, so serving it
 	// is observably identical (PA, fault, hit statistics) to the full
-	// lookup — through Translate's L0 branch or DataHit alike. Every
-	// TLB insert, Flush, FlushPage, SetRoot, CorruptTLB and SetState
-	// clears it, which also drops the slots' cached permission
-	// outcomes and frames.
+	// lookup. Every TLB insert, Flush, FlushPage, SetRoot, CorruptTLB
+	// and SetState clears it, which also drops the slots' cached
+	// permission outcomes.
 	l0    [l0Slots]l0Entry
 	useL0 bool
+
+	// gen is bumped by every clearL0, so it changes whenever the TLB
+	// may have. A caller that saw a translation pass under generation
+	// g knows, while Gen still returns g, that the same access would
+	// hit the TLB and pass again (the CPU's D-side line memo).
+	gen uint64
 
 	// probe, when non-nil, observes TLB lookups, page-table walks and
 	// ROLoad key checks. side tags the events (I- or D-side); cycles,
@@ -219,16 +221,23 @@ func New(phys *mem.Physical, cfg Config) *MMU {
 	if cfg.TLBEntries <= 0 {
 		cfg.TLBEntries = 32
 	}
-	return &MMU{cfg: cfg, phys: phys, tlb: NewTLB(cfg.TLBEntries), useL0: !cfg.NoFastPath}
+	return &MMU{cfg: cfg, phys: phys, tlb: NewTLB(cfg.TLBEntries), useL0: !cfg.NoFastPath, gen: 1}
 }
 
-// clearL0 invalidates the inline cache; called on every operation that
-// can change TLB contents, preserving the L0 mirror invariant.
+// clearL0 invalidates the inline cache and bumps the generation;
+// called on every operation that can change TLB contents, preserving
+// the L0 mirror invariant.
 func (m *MMU) clearL0() {
 	for i := range m.l0 {
 		m.l0[i].e.Valid = false
 	}
+	m.gen++
 }
+
+// Gen returns the TLB generation: it changes on every operation that
+// can change the TLB's contents. It starts at 1, so a zero generation
+// never matches.
+func (m *MMU) Gen() uint64 { return m.gen }
 
 // SetRoot installs the physical address of the root page table and
 // flushes the TLB (the satp write + sfence.vma pair).
@@ -384,7 +393,7 @@ func (m *MMU) Translate(va uint64, at Access, key uint16) (pa uint64, tlbMiss bo
 }
 
 // fill installs e, an entry the TLB holds now, in its L0 slot with the
-// precomputed permission outcome; the frame resolves on first DataHit.
+// precomputed permission outcome.
 func (m *MMU) fill(e TLBEntry) {
 	s := &m.l0[e.VPN&(l0Slots-1)]
 	*s = l0Entry{
@@ -399,39 +408,16 @@ func (m *MMU) fill(e TLBEntry) {
 	}
 }
 
-// DataHit is the D-side hit path: when va's page sits in the L0 and
-// the slot's outcome passes the access, it does exactly a TLB hit's
-// bookkeeping and returns the physical address together with the live
-// host frame behind it, so the caller can load or store without
-// another lookup. Otherwise — an L0 miss, an access the full check
-// must judge, a frame never touched or orphaned, a probe attached —
-// it changes nothing and reports false; the caller then takes the full
-// Translate path, which does the same bookkeeping itself. The caller
-// keeps the access inside va's page.
-func (m *MMU) DataHit(va uint64, at Access, key uint16) (uint64, mem.Frame, bool) {
-	vpn := va >> mem.PageShift
-	s := &m.l0[vpn&(l0Slots-1)]
-	if !s.e.Valid || s.vpn != vpn || m.probe != nil || !s.allows(at, key) {
-		return 0, mem.Frame{}, false
-	}
-	if !s.frame.Live() {
-		if s.frame = m.phys.Frame(s.pa); !s.frame.Live() {
-			return 0, mem.Frame{}, false
-		}
-	}
-	m.stats.TLBHits++
-	return s.pa | va&(mem.PageSize-1), s.frame, true
-}
-
-// BumpTLBHits credits n TLB hits without performing lookups — the
-// block engine's folded fetch accounting. A translated block never
-// crosses a page, so after the block-entry Translate has hit or
-// installed the entry, every remaining fetch in the block is a
-// guaranteed TLB hit whose only simulated effect is this counter (the
-// permission check cannot newly fail mid-block: nothing between two
+// BumpTLBHits credits n TLB hits without performing lookups. Two
+// callers know the lookups would hit and pass. One is the block
+// engine's folded fetch accounting: a translated block never crosses
+// a page, so after the block-entry Translate has hit or installed the
+// entry, every remaining fetch in the block is a guaranteed TLB hit
+// whose only simulated effect is this counter (nothing between two
 // instructions of one block can change the page tables or the TLB).
-// Calling it in any other situation would break the fast-path
-// invariant.
+// The other is the CPU's D-side line memo, for an access that passed
+// under the current Gen. Calling it in any other situation would break
+// the fast-path invariant.
 func (m *MMU) BumpTLBHits(n uint64) { m.stats.TLBHits += n }
 
 // check implements the permission control logic. The conventional

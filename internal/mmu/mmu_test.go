@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"roload/internal/mem"
-	"roload/internal/obs"
 )
 
 // bumpAlloc is a trivial frame allocator for tests.
@@ -364,13 +363,15 @@ func TestSetRootFlushes(t *testing.T) {
 	}
 }
 
-// TestDataHitMatchesTranslate pins the D-side hit path to the full
-// lookup. Twin MMUs share one physical memory: for every page
-// permission and data access kind, DataHit on one twin must hit exactly
-// when Translate on the other passes, with the same PA and statistics
-// afterwards, and a miss must leave the statistics untouched. The
-// ROLoad key is checked per access against the cached entry, so a
-// wrong key never hits.
+// TestDataHitMatchesTranslate pins the MMU side of the CPU's D-side
+// line memo to the full lookup. Twin MMUs share one physical memory.
+// For every page permission and data access kind, the first access
+// translates on both twins, and the memo twin notes its outcome and
+// Gen. While Gen is unchanged, a repeat of an access that passed must
+// be, on the full twin, a TLB hit that passes at the same PA: exactly
+// the one BumpTLBHits the memo makes in its place. A repeat of one
+// that failed must fail again. The ROLoad key is part of the outcome,
+// so a wrong key never passes.
 func TestDataHitMatchesTranslate(t *testing.T) {
 	const k = 7
 	pages := []struct {
@@ -406,42 +407,27 @@ func TestDataHitMatchesTranslate(t *testing.T) {
 				if err := mapper.Map(va, pa, pg.perms, pg.key); err != nil {
 					t.Fatal(err)
 				}
-				if err := phys.WriteUint(pa+8, 0x1122334455667788, 8); err != nil {
-					t.Fatal(err)
-				}
-				const off = 8
-				// Not yet in the L0: a miss that changes nothing.
-				if _, _, ok := hit.DataHit(va+off, ac.at, ac.key); ok {
-					t.Fatal("DataHit hit before any translation")
-				}
-				if hit.Stats() != (Stats{}) {
-					t.Fatalf("miss changed stats: %+v", hit.Stats())
-				}
-				// Fill both TLBs (and the L0) the same way; the fill
-				// happens whether or not the access passes.
-				hit.Translate(va, ac.at, ac.key)
+				// The first access walks and fills both TLBs, whether
+				// or not it passes.
+				_, _, first := hit.Translate(va, ac.at, ac.key)
 				full.Translate(va, ac.at, ac.key)
+				gen := hit.Gen()
+				const off = 8
 				for round := 0; round < 2; round++ {
-					before := hit.Stats()
-					gotPA, fr, ok := hit.DataHit(va+off, ac.at, ac.key)
-					wantPA, miss, fault := full.Translate(va+off, ac.at, ac.key)
-					if ok != (fault == nil) {
-						t.Fatalf("round %d: DataHit ok=%v, Translate fault=%v", round, ok, fault)
+					gotPA, miss, fault := full.Translate(va+off, ac.at, ac.key)
+					if (fault == nil) != (first == nil) {
+						t.Fatalf("round %d: first access fault %v, repeat fault %v", round, first, fault)
 					}
-					if !ok {
-						if hit.Stats() != before {
-							t.Fatalf("round %d: miss changed stats %+v -> %+v", round, before, hit.Stats())
+					if first == nil {
+						if miss || gotPA != pa+off {
+							t.Fatalf("round %d: repeat pa %#x miss %v, want a hit at %#x", round, gotPA, miss, pa+off)
 						}
-						// The caller falls back to the full path.
-						hit.Translate(va+off, ac.at, ac.key)
+						hit.BumpTLBHits(1)
 					} else {
-						if miss || gotPA != wantPA {
-							t.Fatalf("round %d: DataHit pa %#x, Translate pa %#x miss %v", round, gotPA, wantPA, miss)
-						}
-						want, _ := phys.ReadUint(wantPA, 8)
-						if got := fr.ReadUint(gotPA, 8); got != want {
-							t.Fatalf("round %d: frame reads %#x, memory holds %#x", round, got, want)
-						}
+						hit.Translate(va+off, ac.at, ac.key)
+					}
+					if hit.Gen() != gen {
+						t.Fatalf("round %d: Gen moved %d -> %d on a TLB hit", round, gen, hit.Gen())
 					}
 					if hit.Stats() != full.Stats() {
 						t.Fatalf("round %d: stats %+v, twin %+v", round, hit.Stats(), full.Stats())
@@ -452,118 +438,50 @@ func TestDataHitMatchesTranslate(t *testing.T) {
 	}
 }
 
-// TestDataHitFrameLiveness checks that the frame an L0 slot caches
-// never outlives its page: after ZeroPage or RestorePages orphans the
-// page, DataHit must not hand out the stale frame — it misses until
-// the page exists again, then serves the new one. Writes through the
-// frame land in physical memory and bump the write generation.
-func TestDataHitFrameLiveness(t *testing.T) {
-	phys, mapper, m := testSetup(t, DefaultConfig())
-	const va, pa = 0x40000, 0x200000
-	if err := mapper.Map(va, pa, PTERead|PTEWrite, 0); err != nil {
+// TestGenTracksTLBChanges: Gen must change on every operation that can
+// change the TLB's contents, and stay put across hits and faulting
+// checks, which change nothing.
+func TestGenTracksTLBChanges(t *testing.T) {
+	_, mapper, m := testSetup(t, DefaultConfig())
+	if err := mapper.Map(0x40000, 0x200000, PTERead, 3); err != nil {
 		t.Fatal(err)
 	}
-	read := func(name string) (uint64, bool) {
-		t.Helper()
-		before := m.Stats()
-		gotPA, fr, ok := m.DataHit(va+16, Read, 0)
-		if !ok {
-			if m.Stats() != before {
-				t.Fatalf("%s: miss changed stats", name)
-			}
-			return 0, false
-		}
-		if gotPA != pa+16 {
-			t.Fatalf("%s: pa %#x, want %#x", name, gotPA, pa+16)
-		}
-		return fr.ReadUint(gotPA, 8), true
-	}
-	if _, _, f := m.Translate(va, Read, 0); f != nil {
-		t.Fatal(f)
-	}
-	// The page has never been touched: no frame to hand out, and the
-	// lookup must not allocate one.
-	allocated := phys.AllocatedPages()
-	if _, ok := read("untouched"); ok {
-		t.Fatal("DataHit invented a frame for an untouched page")
-	}
-	if phys.AllocatedPages() != allocated {
-		t.Fatalf("DataHit allocated: %d pages, was %d", phys.AllocatedPages(), allocated)
-	}
-	mustWrite := func(v uint64) {
-		t.Helper()
-		if err := phys.WriteUint(pa+16, v, 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustWrite(0xaaaa)
-	if v, ok := read("allocated"); !ok || v != 0xaaaa {
-		t.Fatalf("allocated: got %#x ok=%v, want 0xaaaa hit", v, ok)
-	}
-
-	// A write through the frame reaches memory and invalidates refs.
-	ref, _ := phys.Ref(pa)
-	_, fr, ok := m.DataHit(va+24, Write, 0)
-	if !ok {
-		t.Fatal("write did not hit")
-	}
-	fr.WriteUint(pa+24, 0xbbbb, 2)
-	if v, _ := phys.ReadUint(pa+24, 8); v != 0xbbbb {
-		t.Fatalf("frame write: memory holds %#x", v)
-	}
-	if ref.Valid() {
-		t.Fatal("frame write did not bump the write generation")
-	}
-
-	orphans := []struct {
-		name   string
-		orphan func() error
-		want   uint64 // value at pa+16 once the page is back
-	}{
-		{"ZeroPage", func() error { return phys.ZeroPage(pa) }, 0},
-		{"RestorePages", func() error {
-			snap := phys.SnapshotPages()
-			mustWrite(0xdead) // the live frame changes; the snapshot does not
-			return phys.RestorePages(snap)
-		}, 0xcccc},
-	}
-	for _, o := range orphans {
-		mustWrite(0xcccc)
-		if v, ok := read(o.name + " before"); !ok || v != 0xcccc {
-			t.Fatalf("%s before: got %#x ok=%v", o.name, v, ok)
-		}
-		if err := o.orphan(); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := read(o.name + " after"); ok && v != o.want {
-			t.Fatalf("%s: DataHit served a stale frame (%#x), memory holds %#x", o.name, v, o.want)
-		}
-		mustWrite(0xeeee)
-		if v, ok := read(o.name + " rewritten"); !ok || v != 0xeeee {
-			t.Fatalf("%s rewritten: got %#x ok=%v, want 0xeeee hit", o.name, v, ok)
-		}
-	}
-}
-
-// TestDataHitBypassedUnderProbe: with a probe attached every lookup
-// must reach the full path, which emits the per-lookup events.
-func TestDataHitBypassedUnderProbe(t *testing.T) {
-	phys, mapper, m := testSetup(t, DefaultConfig())
-	if err := mapper.Map(0x40000, 0x200000, PTERead, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := phys.WriteUint(0x200000, 1, 8); err != nil {
+	if err := mapper.Map(0x41000, 0x201000, PTERead|PTEWrite, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Translate(0x40000, Read, 0)
-	if _, _, ok := m.DataHit(0x40000, Read, 0); !ok {
-		t.Fatal("no hit without a probe")
+	steady := func(name string, op func()) {
+		t.Helper()
+		g := m.Gen()
+		op()
+		if m.Gen() != g {
+			t.Errorf("%s moved Gen %d -> %d", name, g, m.Gen())
+		}
 	}
-	m.SetProbe(&obs.Counters{}, obs.SideD, nil)
-	before := m.Stats()
-	if _, _, ok := m.DataHit(0x40000, Read, 0); ok || m.Stats() != before {
-		t.Fatalf("probe attached: ok=%v, stats %+v -> %+v", ok, before, m.Stats())
+	bumps := func(name string, op func()) {
+		t.Helper()
+		g := m.Gen()
+		op()
+		if m.Gen() == g {
+			t.Errorf("%s left Gen at %d", name, g)
+		}
 	}
+	steady("hit", func() { m.Translate(0x40008, Read, 0) })
+	steady("failed check", func() { m.Translate(0x40008, Write, 0) })
+	steady("wrong ROLoad key", func() { m.Translate(0x40008, ROLoadRead, 4) })
+	bumps("walk and insert", func() { m.Translate(0x41000, Write, 0) })
+	bumps("FlushPage", func() { m.FlushPage(0x41000) })
+	m.Translate(0x41000, Write, 0)
+	bumps("CorruptTLB", func() { m.CorruptTLB(0x41000, func(e *TLBEntry) { e.Perms &^= PTEWrite }) })
+	steady("CorruptTLB miss", func() { m.CorruptTLB(0x90000, func(e *TLBEntry) {}) })
+	st := m.State()
+	bumps("SetState", func() {
+		if err := m.SetState(st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bumps("Flush", m.Flush)
+	bumps("SetRoot", func() { m.SetRoot(mapper.Root()) })
 }
 
 func BenchmarkTranslateHit(b *testing.B) {
@@ -591,20 +509,5 @@ func BenchmarkTranslateWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Flush()
 		m.Translate(0x50000, Read, 0)
-	}
-}
-
-func BenchmarkDataHit(b *testing.B) {
-	phys := mem.NewPhysical(64 << 20)
-	alloc := &bumpAlloc{next: 0x100000}
-	mapper, _ := NewMapper(phys, alloc)
-	m := New(phys, DefaultConfig())
-	m.SetRoot(mapper.Root())
-	_ = mapper.Map(0x50000, 0x80000, PTERead, 3)
-	_ = phys.WriteUint(0x80000, 1, 8)
-	m.Translate(0x50000, Read, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.DataHit(0x50000, ROLoadRead, 3)
 	}
 }
