@@ -2,6 +2,8 @@ package asm
 
 import (
 	"encoding/binary"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -324,29 +326,103 @@ _start:
 	}
 }
 
+// TestSyntaxErrors pins the exact text of every rejection, including
+// which error wins when a source has several: pass-1 errors (directives,
+// labels, branch operands, li) are reported in source order before any
+// pass-2 error, and pass-2 errors in image order (.text before .data).
+// The HTTP service returns these messages to clients verbatim.
 func TestSyntaxErrors(t *testing.T) {
 	cases := []struct {
-		name string
-		src  string
+		name, src, want string
 	}{
-		{"unknown inst", "_start:\n\tfoo a0, a1\n"},
-		{"bad register", "_start:\n\tadd a0, a1, q9\n"},
-		{"undefined symbol", "_start:\n\tla a0, missing\n"},
-		{"redefined label", "a:\na:\n\tecall\n"},
-		{"bad key", "_start:\n\tld.ro a0, (a1), 9999\n"},
-		{"bad key section", ".section .rodata.key.99999\nx: .quad 1\n"},
-		{"unknown directive", ".bogus 12\n"},
-		{"wrong operand count", "_start:\n\tadd a0, a1\n"},
-		{"roload with offset", "_start:\n\tld.ro a0, 8(a1), 3\n"},
-		{"branch out of range", "_start:\n\tbeq a0, a1, 100000\n"},
-		{"ld.ro missing parens", "_start:\n\tld.ro a0, a1, 3\n"},
-		{"bad string", "_start:\n\tecall\n.data\n.asciz bogus\n"},
-		{"writable keyed section would fail validate", ".section .rodata.key.banana\n"},
-		{"no entry", "foo:\n\tecall\n"},
+		{"unknown inst", "_start:\n\tfoo a0, a1\n", "asm: line 2: unknown instruction \"foo\""},
+		{"bad third ALU register reads as a symbol", "_start:\n\tadd a0, a1, q9\n", "asm: line 2: undefined symbol \"q9\""},
+		{"undefined symbol", "_start:\n\tla a0, missing\n", "asm: line 2: undefined symbol \"missing\""},
+		{"redefined label", "a:\na:\n\tecall\n", "asm: line 2: symbol \"a\" redefined"},
+		{"bad key", "_start:\n\tld.ro a0, (a1), 9999\n", "asm: line 2: bad key \"9999\""},
+		{"bad key section", ".section .rodata.key.99999\nx: .quad 1\n", "asm: line 1: invalid section key \"99999\""},
+		{"unknown directive", ".bogus 12\n", "asm: line 1: unknown directive \".bogus\""},
+		{"wrong operand count", "_start:\n\tadd a0, a1\n", "asm: line 2: add needs 3 operands"},
+		{"roload with offset", "_start:\n\tld.ro a0, 8(a1), 3\n", "asm: line 2: ld.ro address operand must be (reg), got \"8(a1)\""},
+		{"branch out of range", "_start:\n\tbeq a0, a1, 100000\n", "asm: line 2: branch target out of range: isa: cannot encode beq: imm=100000 must be even and fit 13 bits"},
+		{"ld.ro missing parens", "_start:\n\tld.ro a0, a1, 3\n", "asm: line 2: ld.ro address operand must be (reg), got \"a1\""},
+		{"bad string", "_start:\n\tecall\n.data\n.asciz bogus\n", "asm: line 4: bad string \"bogus\""},
+		{"writable keyed section would fail validate", ".section .rodata.key.banana\n", "asm: line 1: invalid section key \"banana\""},
+		{"no entry", "foo:\n\tecall\n", "asm: entry symbol \"_start\" not defined"},
+		{"bad memory operand", "_start:\n\tld a0, a1\n", "asm: line 2: bad memory operand \"a1\""},
+		{"bad memory register", "_start:\n\tsd a0, 8( q9 )\n", "asm: line 2: bad register \" q9 \""},
+		{"bad memory offset", "_start:\n\tld a0, 8+(a1)\n", "asm: line 2: cannot parse expression \"8+\""},
+		{"undefined memory offset", "_start:\n\tld a0, missing(a1)\n", "asm: line 2: undefined symbol \"missing\""},
+		{"jalr bad memory operand", "_start:\n\tjalr a0, a1\n", "asm: line 2: bad memory operand \"a1\""},
+		{"li operand count", "_start:\n\tli a0\n", "asm: line 2: li needs 2 operands"},
+		{"la operand count", "_start:\n\tla a0, x, y\n", "asm: line 2: la needs 2 operands, got 3"},
+		{"mv operand count", "_start:\n\tmv a0\n", "asm: line 2: mv needs 2 operands, got 1"},
+		{"j operand count", "_start:\n\tj\n", "asm: line 2: j needs 1 operands, got 0"},
+		{"call operand count", "_start:\n\tcall a, b\n", "asm: line 2: call needs 1 operands, got 2"},
+		{"jr operand count", "_start:\n\tjr a0, a1\n", "asm: line 2: jr needs 1 operands, got 2"},
+		{"jal operand count", "_start:\n\tjal a0, a1, a2\n", "asm: line 2: jal needs 2 operands, got 3"},
+		{"load operand count", "_start:\n\tld a0\n", "asm: line 2: ld needs 2 operands, got 1"},
+		{"store operand count", "_start:\n\tsd a0, 0(sp), 1\n", "asm: line 2: sd needs 2 operands, got 3"},
+		{"lui operand count", "_start:\n\tlui a0\n", "asm: line 2: lui needs 2 operands, got 1"},
+		{"csr operand count", "_start:\n\tcsrrw a0, 1\n", "asm: line 2: csrrw needs 3 operands, got 2"},
+		{"roload operand count", "_start:\n\tld.ro a0, (a1)\n", "asm: line 2: ld.ro needs 3 operands, got 2"},
+		{"branch operand count", "_start:\n\tbeq a0, a1\n", "asm: line 2: beq needs 3 operands, got 2"},
+		{"branch pseudo operand count", "_start:\n\tbeqz a0\n", "asm: line 2: beqz needs 2 operands, got 1"},
+		{"bad CSR", "_start:\n\tcsrrw a0, 0x1000, a1\n", "asm: line 2: bad CSR \"0x1000\""},
+		{"bad CSR name", "_start:\n\tcsrrs a0, cycle, zero\n", "asm: line 2: bad CSR \"cycle\""},
+		{"undefined branch target", "_start:\n\tbeq a0, a1, nowhere\n", "asm: line 2: undefined symbol \"nowhere\""},
+		{"undefined jump target", "_start:\n\tj nowhere\n", "asm: line 2: undefined symbol \"nowhere\""},
+		{"bad branch register", "_start:\n\tbgt a0, q9, _start\n", "asm: line 2: bad register \"q9\""},
+		{"bad immediate", "_start:\n\taddi a0, a1, 5000\n", "asm: line 2: isa: cannot encode addi: imm=5000 must fit 12 bits"},
+		{"bad offset", "_start:\n\tli a0, foo+bar\n", "asm: line 2: bad offset in \"foo+bar\""},
+		{"empty expression", "_start:\n\tli a0, %hi()\n", "asm: line 2: empty expression"},
+		{"unparsable expression", "_start:\n\taddi a0, a1, @x\n", "asm: line 2: cannot parse expression \"@x\""},
+		{"lui undefined", "_start:\n\tlui a0, %hi(missing)\n", "asm: line 2: undefined symbol \"missing\""},
+		{"bad alignment", "_start:\n\t.align 13\n", "asm: line 2: bad alignment \"13\""},
+		{"bad size", ".bss\n\t.space lots\n", "asm: line 2: bad size \"lots\""},
+		{"empty quad", ".data\n\t.quad\n", "asm: line 2: .quad needs at least one value"},
+		{"unknown section", ".section .foo\n", "asm: line 1: unknown section \".foo\""},
+		{"undefined data symbol", "_start:\n\tecall\n.data\n\t.quad missing\n", "asm: line 4: undefined symbol \"missing\""},
+		{"later bad register beats earlier undefined symbol (pass 1)", "_start:\n\tla a0, missing\n\tbeq q9, a0, _start\n", "asm: line 3: bad register \"q9\""},
+		{"earlier undefined symbol beats later bad register (pass 2)", "_start:\n\tla a0, missing\n\tadd a0, a1, q9\n", "asm: line 2: undefined symbol \"missing\""},
+		{"text errors before data errors", ".data\n\t.quad missing\n.text\n_start:\n\tadd a0, a1, q9\n", "asm: line 5: undefined symbol \"q9\""},
+		{"li size mismatch", "_start:\n\tli a0, %lo(0x7ff800)\n", "asm: line 2: internal size mismatch for li (4 != 8)"},
+		{"tab after mnemonic", "_start:\n\tadd\ta0, a1, a2\n", "asm: line 2: unknown instruction \"add\\ta0,\""},
+		{"at pseudo", "_start:\n\tld.at a0, x\n", "asm: line 2: unknown instruction \"ld.at\""},
+		{"bad first register", "_start:\n\tadd a0, q9, a2\n", "asm: line 2: bad register \"q9\""},
+		{"bad key register", "_start:\n\tld.ro a0, (q9), 3\n", "asm: line 2: bad register \"q9\""},
+		{"not operand count", "_start:\n\tnot a0\n", "asm: line 2: not needs 2 operands, got 1"},
+		{"sext.w operand count", "_start:\n\tsext.w\n", "asm: line 2: sext.w needs 2 operands, got 0"},
+		// Register names are the ABI names, fp, and canonical x0-x31
+		// only; a name that merely starts like xN is not a register.
+		{"lax register suffix", "_start:\n\tadd a0, x10abc, a2\n", "asm: line 2: bad register \"x10abc\""},
+		{"lax register sign", "_start:\n\tmv a0, x+5\n", "asm: line 2: bad register \"x+5\""},
+		{"lax register in memory operand", "_start:\n\tld a0, 8(x2junk)\n", "asm: line 2: bad register \"x2junk\""},
+		{"lax register leading zero", "_start:\n\tadd a0, x010, a1\n", "asm: line 2: bad register \"x010\""},
 	}
 	for _, c := range cases {
-		if _, err := Assemble(c.src, DefaultOptions()); err == nil {
+		_, err := Assemble(c.src, DefaultOptions())
+		if err == nil {
 			t.Errorf("%s: assembled without error", c.name)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err.Error(), c.want)
+		}
+	}
+}
+
+// TestLaxInputsStillAccepted pins inputs the assembler accepts although
+// they are loose: uppercase mnemonics and extra operands on one-operand
+// pseudos.
+func TestLaxInputsStillAccepted(t *testing.T) {
+	for _, src := range []string{
+		"_start:\n\tADD a0, a1, a2\n",
+		"_start:\n\tnot a0, a1, a2\n\tecall\n",
+		"_start:\n\tret a0\n\tnop 1, 2\n\tecall x\n",
+	} {
+		if _, err := Assemble(src, DefaultOptions()); err != nil {
+			t.Errorf("%q: %v", src, err)
 		}
 	}
 }
@@ -502,7 +578,7 @@ func TestSplitOperands(t *testing.T) {
 		{"", nil},
 	}
 	for _, c := range cases {
-		got := splitOperands(c.in)
+		got := splitOperands(nil, c.in)
 		if len(got) != len(c.want) {
 			t.Errorf("splitOperands(%q) = %v", c.in, got)
 			continue
@@ -512,6 +588,55 @@ func TestSplitOperands(t *testing.T) {
 				t.Errorf("splitOperands(%q)[%d] = %q, want %q", c.in, i, got[i], c.want[i])
 			}
 		}
+	}
+}
+
+func TestTrimMatchesTrimSpace(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "\t\r\n\v\f ", "a0", " a0", "a0 ", "\ta0, a1\t", "\u00a0a0", "a0\u00a0",
+		" \u0085x\u2003 ", "\u3000", "é", " é ", "\x00a\x00", "\xffa\xff", "a\x80",
+	} {
+		if got, want := trim(s), strings.TrimSpace(s); got != want {
+			t.Errorf("trim(%q) = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// TestParseIntMatchesStrconv pins the lexer's integer parsing to
+// strconv's base-0 syntax, inline fast paths and fallback alike.
+func TestParseIntMatchesStrconv(t *testing.T) {
+	inputs := []string{
+		"", "0", "-0", "+0", "1", "-1", "+3", "7", "42", "-2048", "2047",
+		"123456789012345678", "-123456789012345678", "1234567890123456789",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"99999999999999999999", "00", "08", "017", "0o17", "0O17", "0b101",
+		"0B2", "0x", "0x0", "0x7ff", "0X7FF", "0xfff", "-0x10", "+0x10",
+		"0x123456789abcdef", "0x7fffffffffffffff", "0x8000000000000000",
+		"0xffffffffffffffff", "0x1_0", "0x_1", "1_000", "_1", "1_", "1__0",
+		"1e3", "12abc", "8(sp)", "1+2", "a0", "x10", "-", "+", "--1", " 1",
+		"1 ", "'a'", "0x1g", "１",
+	}
+	for _, s := range inputs {
+		want, err := strconv.ParseInt(s, 0, 64)
+		if got, ok := parseInt(s); ok != (err == nil) || ok && got != want {
+			t.Errorf("parseInt(%q) = %d,%v; strconv says %d,%v", s, got, ok, want, err)
+		}
+		wantU, errU := strconv.ParseUint(s, 0, 64)
+		if got, ok := parseUint(s); ok != (errU == nil) || ok && got != wantU {
+			t.Errorf("parseUint(%q) = %d,%v; strconv says %d,%v", s, got, ok, wantU, errU)
+		}
+	}
+	f := func(v int64) bool {
+		for _, s := range []string{strconv.FormatInt(v, 10), "0x" + strconv.FormatUint(uint64(v)>>(v&63), 16)} {
+			want, err := strconv.ParseInt(s, 0, 64)
+			if got, ok := parseInt(s); ok != (err == nil) || ok && got != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

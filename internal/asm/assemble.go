@@ -3,8 +3,6 @@ package asm
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"roload/internal/isa"
@@ -34,8 +32,9 @@ func Assemble(src string, opts Options) (*Image, error) {
 	if opts.TextBase == 0 {
 		opts.TextBase = 0x10000
 	}
-	p := newParser()
-	p.compress = opts.Compress
+	p := parsers.Get().(*parser)
+	defer parsers.Put(p)
+	p.reset(src, opts.Compress)
 	if err := p.parse(src); err != nil {
 		return nil, err
 	}
@@ -50,6 +49,156 @@ func MustAssemble(src string, opts Options) *Image {
 		panic(err)
 	}
 	return img
+}
+
+// class groups mnemonics that take the same operands and encode the
+// same way.
+type class uint8
+
+const (
+	clsUnknown class = iota // not an instruction (reported by the encoder)
+	clsAt                   // lw.at and friends: sized, never encodable
+	clsNop
+	clsRet
+	clsSys    // ecall, ebreak, fence: operands ignored
+	clsLi     // li rd, value
+	clsLa     // la rd, symbol
+	clsMv     // mv rd, rs
+	clsUnary  // not, neg, negw, seqz, snez, sext.w
+	clsJump   // j, call, tail
+	clsJal    // jal target | jal rd, target
+	clsJr     // jr rs
+	clsJalr   // jalr rs | jalr rd, off(rs)
+	clsBranch // conditional branches, real and pseudo
+	clsROLoad // ld.ro rd, (rs), key
+	clsLoad
+	clsStore
+	clsUpper // lui, auipc
+	clsCSR
+	clsALU // R-type and I-type ALU
+)
+
+// mnemonic is one entry of the mnemonic table.
+type mnemonic struct {
+	name  string
+	class class
+	op    isa.Op // encoded opcode; the canonical opcode of a branch pseudo
+	// rd is the link register of j/call/tail.
+	rd isa.Reg
+	// A unary pseudo encodes as "op rd, rs, imm", or as
+	// "op rd, zero, rs" when rtype is set.
+	imm   int64
+	rtype bool
+	// Branches: operand count, and which operand is rs1/rs2 (-1 for
+	// zero); the target is the last operand.
+	nops     int8
+	rs1, rs2 int8
+	// compress marks the mnemonics literalInst recognizes.
+	compress bool
+}
+
+// mnemonicTable lists every mnemonic the assembler accepts: the ISA's
+// opcodes and the pseudo-instructions. Entry 0 stands for an unknown
+// mnemonic.
+var mnemonicTable = func() []mnemonic {
+	t := []mnemonic{{class: clsUnknown}}
+	for _, op := range isa.Ops() {
+		e := mnemonic{name: op.String(), op: op}
+		switch {
+		case op.IsROLoad():
+			e.class = clsROLoad
+		case op.IsLoad():
+			e.class = clsLoad
+		case op.IsStore():
+			e.class = clsStore
+		case op.IsBranch():
+			e.class, e.nops, e.rs1, e.rs2 = clsBranch, 3, 0, 1
+		case op == isa.JAL:
+			e.class = clsJal
+		case op == isa.JALR:
+			e.class = clsJalr
+		case op == isa.LUI || op == isa.AUIPC:
+			e.class = clsUpper
+		case op == isa.ECALL || op == isa.EBREAK || op == isa.FENCE:
+			e.class = clsSys
+		case op == isa.CSRRW || op == isa.CSRRS || op == isa.CSRRC:
+			e.class = clsCSR
+		default:
+			e.class = clsALU
+		}
+		t = append(t, e)
+	}
+	t = append(t,
+		mnemonic{name: "nop", class: clsNop},
+		mnemonic{name: "ret", class: clsRet},
+		mnemonic{name: "li", class: clsLi},
+		mnemonic{name: "la", class: clsLa},
+		mnemonic{name: "mv", class: clsMv},
+		mnemonic{name: "not", class: clsUnary, op: isa.XORI, imm: -1},
+		mnemonic{name: "neg", class: clsUnary, op: isa.SUB, rtype: true},
+		mnemonic{name: "negw", class: clsUnary, op: isa.SUBW, rtype: true},
+		mnemonic{name: "seqz", class: clsUnary, op: isa.SLTIU, imm: 1},
+		mnemonic{name: "snez", class: clsUnary, op: isa.SLTU, rtype: true},
+		mnemonic{name: "sext.w", class: clsUnary, op: isa.ADDIW},
+		mnemonic{name: "j", class: clsJump, rd: isa.Zero},
+		mnemonic{name: "call", class: clsJump, rd: isa.RA},
+		mnemonic{name: "tail", class: clsJump, rd: isa.Zero},
+		mnemonic{name: "jr", class: clsJr},
+		mnemonic{name: "bgt", class: clsBranch, op: isa.BLT, nops: 3, rs1: 1, rs2: 0},
+		mnemonic{name: "ble", class: clsBranch, op: isa.BGE, nops: 3, rs1: 1, rs2: 0},
+		mnemonic{name: "bgtu", class: clsBranch, op: isa.BLTU, nops: 3, rs1: 1, rs2: 0},
+		mnemonic{name: "bleu", class: clsBranch, op: isa.BGEU, nops: 3, rs1: 1, rs2: 0},
+		mnemonic{name: "beqz", class: clsBranch, op: isa.BEQ, nops: 2, rs1: 0, rs2: -1},
+		mnemonic{name: "bnez", class: clsBranch, op: isa.BNE, nops: 2, rs1: 0, rs2: -1},
+		mnemonic{name: "blez", class: clsBranch, op: isa.BGE, nops: 2, rs1: -1, rs2: 0},
+		mnemonic{name: "bgez", class: clsBranch, op: isa.BGE, nops: 2, rs1: 0, rs2: -1},
+		mnemonic{name: "bltz", class: clsBranch, op: isa.BLT, nops: 2, rs1: 0, rs2: -1},
+		mnemonic{name: "bgtz", class: clsBranch, op: isa.BLT, nops: 2, rs1: -1, rs2: 0},
+		mnemonic{name: "lw.at", class: clsAt},
+		mnemonic{name: "ld.at", class: clsAt},
+		mnemonic{name: "sb.at", class: clsAt},
+		mnemonic{name: "sh.at", class: clsAt},
+		mnemonic{name: "sw.at", class: clsAt},
+		mnemonic{name: "sd.at", class: clsAt},
+	)
+	for i := range t {
+		switch t[i].name {
+		case "ld.ro", "ld", "lw", "sd", "sw", "addi", "addiw", "slli", "add", "mv", "li", "ret", "jr":
+			t[i].compress = true
+		}
+	}
+	return t
+}()
+
+// mnemonicSlots is an open-addressed hash index into mnemonicTable
+// (0 = empty slot), sized to keep probe chains short.
+var mnemonicSlots = func() (slots [256]uint8) {
+	for i := 1; i < len(mnemonicTable); i++ {
+		h := mnemonicHash(mnemonicTable[i].name)
+		for slots[h] != 0 {
+			h++
+		}
+		slots[h] = uint8(i)
+	}
+	return slots
+}()
+
+func mnemonicHash(name string) uint8 {
+	h := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return uint8(h ^ h>>8 ^ h>>16)
+}
+
+// lookupMnemonic returns the mnemonicTable index of name, 0 if unknown.
+func lookupMnemonic(name string) uint8 {
+	for h := mnemonicHash(name); ; h++ {
+		i := mnemonicSlots[h]
+		if i == 0 || mnemonicTable[i].name == name {
+			return i
+		}
+	}
 }
 
 // sectionRank orders sections in the image: text first, then plain
@@ -73,72 +222,73 @@ func sectionRank(name string) int {
 }
 
 func link(p *parser, opts Options) (*Image, error) {
-	names := make([]string, len(p.order))
-	copy(names, p.order)
-	sort.SliceStable(names, func(i, j int) bool {
-		return sectionRank(names[i]) < sectionRank(names[j])
-	})
+	// Stable insertion sort by rank: there are only a handful of sections.
+	secs := make([]*section, len(p.sections))
+	copy(secs, p.sections)
+	for i := 1; i < len(secs); i++ {
+		for j := i; j > 0 && sectionRank(secs[j].name) < sectionRank(secs[j-1].name); j-- {
+			secs[j], secs[j-1] = secs[j-1], secs[j]
+		}
+	}
 
 	// Iterative layout with branch relaxation: compute every statement
-	// start offset, resolve symbols, widen any conditional branch whose
-	// target falls outside the ±4 KiB B-type range to the 8-byte
-	// inverted-branch + jal form, and repeat until stable. Widening is
-	// monotone, so the loop terminates.
-	bases := make(map[string]uint64, len(names))
-	addrs := make(map[string]uint64, len(p.symbols))
-	starts := make(map[string][]uint64, len(names))
+	// offset, resolve symbols, widen any conditional branch whose target
+	// falls outside the ±4 KiB B-type range to the 8-byte inverted-branch
+	// + jal form, and repeat until stable. Widening is monotone, so the
+	// loop terminates.
 	for iter := 0; ; iter++ {
-		if iter > 1+len(p.symbols) {
+		if iter > 1+p.defined {
 			return nil, fmt.Errorf("asm: branch relaxation did not converge")
 		}
 		base := opts.TextBase
-		sizes := make(map[string]uint64, len(names))
-		for _, n := range names {
-			s := p.sections[n]
-			bases[n] = base
+		for _, s := range secs {
+			s.base = base
 			off := uint64(0)
-			st := make([]uint64, len(s.stmts))
 			for i := range s.stmts {
-				stm := &s.stmts[i]
-				if stm.align > 0 {
-					pad := (stm.align - off%stm.align) % stm.align
-					stm.size = pad
-					stm.space = pad
+				st := &s.stmts[i]
+				if st.kind == stAlign {
+					align := uint64(1) << st.p2
+					st.size = (align - off%align) % align
 				}
-				st[i] = off
-				off += stm.size
+				st.off = off
+				off += st.size
 			}
-			starts[n] = st
-			sizes[n] = off
+			s.size = off
 			base += pageRound(off)
 			if off == 0 {
 				base += 4096 // keep even empty sections distinct
 			}
 		}
-		for name, sym := range p.symbols {
-			off := sizes[sym.section]
-			if sym.stmtIdx < len(starts[sym.section]) {
-				off = starts[sym.section][sym.stmtIdx]
+		for i := range p.syms {
+			sym := &p.syms[i]
+			if sym.sec == nil {
+				continue
 			}
-			addrs[name] = bases[sym.section] + off
+			off := sym.sec.size
+			if sym.stmt < len(sym.sec.stmts) {
+				off = sym.sec.stmts[sym.stmt].off
+			}
+			sym.addr = sym.sec.base + off
 		}
 		changed := false
-		for _, n := range names {
-			s := p.sections[n]
+		for _, s := range secs {
 			for i := range s.stmts {
-				b := s.stmts[i].branch
-				if b == nil || b.long || b.target.Sym == "" {
+				st := &s.stmts[i]
+				if st.kind != stBranch || st.long {
 					continue
 				}
-				taddr, ok := addrs[b.target.Sym]
-				if !ok {
+				t := p.ops[st.first].x
+				if t.sym == 0 {
+					continue
+				}
+				sym := &p.syms[t.sym-1]
+				if sym.sec == nil {
 					continue // undefined symbol: reported at encode time
 				}
-				pc := bases[n] + starts[n][i]
-				delta := int64(taddr) + b.target.Off - int64(pc)
+				delta := int64(sym.addr) + t.off - int64(s.base+st.off)
 				if delta < -4096 || delta > 4094 {
-					b.long = true
-					s.stmts[i].size = 8
+					st.long = true
+					st.size = 8
 					changed = true
 				}
 			}
@@ -148,87 +298,41 @@ func link(p *parser, opts Options) (*Image, error) {
 		}
 	}
 
-	enc := &encoder{symbols: addrs}
-
-	img := &Image{Symbols: addrs}
-	for _, n := range names {
-		s := p.sections[n]
-		data := make([]byte, 0, 256)
-		va := bases[n]
-		for _, st := range s.stmts {
-			enc.line = st.line
-			pc := va + uint64(len(data))
-			switch {
-			case st.isC16:
-				data = append(data, byte(st.c16), byte(st.c16>>8))
-			case st.branch != nil:
-				words, err := enc.encodeBranch(st.branch, pc)
-				if err != nil {
-					return nil, err
-				}
-				for _, w := range words {
-					var buf [4]byte
-					binary.LittleEndian.PutUint32(buf[:], w)
-					data = append(data, buf[:]...)
-				}
-			case st.inst != nil:
-				words, err := enc.encodeInst(st.inst, pc)
-				if err != nil {
-					return nil, err
-				}
-				if uint64(len(words)*4) != st.size {
-					return nil, fmt.Errorf("asm: line %d: internal size mismatch for %s (%d != %d)",
-						st.line, st.inst.op, len(words)*4, st.size)
-				}
-				for _, w := range words {
-					var buf [4]byte
-					binary.LittleEndian.PutUint32(buf[:], w)
-					data = append(data, buf[:]...)
-				}
-			case st.space > 0 || st.align > 0:
-				data = append(data, make([]byte, st.size)...)
-			case st.data != nil:
-				for _, item := range st.data {
-					if item.str != nil {
-						data = append(data, item.str...)
-						continue
-					}
-					v, err := enc.eval(item.val)
-					if err != nil {
-						return nil, err
-					}
-					var buf [8]byte
-					binary.LittleEndian.PutUint64(buf[:], uint64(v))
-					data = append(data, buf[:item.width]...)
-				}
-			}
+	e := &encoder{p: p}
+	img := &Image{Sections: make([]Section, 0, len(secs))}
+	for _, s := range secs {
+		data, err := e.section(s)
+		if err != nil {
+			return nil, err
 		}
-		isBSS := n == ".bss"
-		sec := Section{
-			Name: n,
-			VA:   va,
-			Size: uint64(len(data)),
+		img.Sections = append(img.Sections, Section{
+			Name: s.name,
+			VA:   s.base,
+			Size: s.size,
 			Perm: s.perm,
 			Key:  s.key,
-		}
-		if !isBSS {
-			sec.Data = data
-		}
-		img.Sections = append(img.Sections, sec)
+			Data: data,
+		})
 	}
 
 	entryName := opts.Entry
 	if entryName == "" {
 		entryName = "_start"
 	}
-	entry, ok := addrs[entryName]
+	entry, ok := p.lookup(entryName)
 	if !ok {
-		entry, ok = addrs["main"]
+		entry, ok = p.lookup("main")
 		if !ok {
 			return nil, fmt.Errorf("asm: entry symbol %q not defined", entryName)
 		}
 	}
 	img.Entry = entry
+	img.Symbols = make(map[string]uint64, p.defined)
+	for _, sym := range p.syms {
+		if sym.sec != nil {
+			img.Symbols[sym.name] = sym.addr
+		}
+	}
 
 	if err := img.Validate(); err != nil {
 		return nil, err
@@ -236,438 +340,373 @@ func link(p *parser, opts Options) (*Image, error) {
 	return img, nil
 }
 
-// encoder is pass 2: turns parsed instructions into machine words.
+// lookup returns the address of a defined symbol.
+func (p *parser) lookup(name string) (uint64, bool) {
+	id, ok := p.symIndex[name]
+	if !ok || p.syms[id].sec == nil {
+		return 0, false
+	}
+	return p.syms[id].addr, true
+}
+
+// maxImmInsts bounds the li expansion: a 64-bit constant is a 32-bit
+// lui+addiw core and three slli+addi steps.
+const maxImmInsts = 8
+
+// encoder is pass 2: it encodes the typed statements of each section,
+// in image order, into a buffer of the size layout computed.
 type encoder struct {
-	symbols map[string]uint64
-	line    int
+	p     *parser
+	line  int32
+	words [maxImmInsts]uint32 // the current statement's encoding
+	nw    int
 }
 
 func (e *encoder) errf(format string, args ...interface{}) error {
-	return &SyntaxError{Line: e.line, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Line: int(e.line), Msg: fmt.Sprintf(format, args...)}
+}
+
+// name returns a statement's mnemonic as written, lowercased.
+func (e *encoder) name(st *stmt) string {
+	if st.mn == 0 {
+		return e.p.bad[st.first]
+	}
+	return mnemonicTable[st.mn].name
+}
+
+// section encodes one section; .bss keeps no bytes.
+func (e *encoder) section(s *section) ([]byte, error) {
+	var data []byte
+	if s.name != ".bss" || !zeroFill(s.stmts) {
+		data = make([]byte, s.size)
+	}
+	for i := range s.stmts {
+		st := &s.stmts[i]
+		e.line = st.line
+		switch st.kind {
+		case stC16:
+			binary.LittleEndian.PutUint16(data[st.off:], st.c16)
+		case stBranch:
+			e.nw = 0
+			if err := e.encodeBranch(st, s.base+st.off); err != nil {
+				return nil, err
+			}
+			e.put(data[st.off:])
+		case stInst:
+			e.nw = 0
+			if err := e.encodeInst(st, s.base+st.off); err != nil {
+				return nil, err
+			}
+			if uint64(e.nw*4) != st.size {
+				return nil, fmt.Errorf("asm: line %d: internal size mismatch for %s (%d != %d)",
+					st.line, e.name(st), e.nw*4, st.size)
+			}
+			e.put(data[st.off:])
+		case stData:
+			off := st.off
+			for _, item := range e.p.items[st.first : st.first+st.n] {
+				if item.width == 0 {
+					off += uint64(copy(data[off:], item.str))
+					if item.nul {
+						off++ // already zero
+					}
+					continue
+				}
+				v, err := e.eval(item.val)
+				if err != nil {
+					return nil, err
+				}
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				off += uint64(copy(data[off:], buf[:item.width]))
+			}
+		}
+	}
+	if s.name == ".bss" {
+		return nil, nil
+	}
+	return data, nil
+}
+
+// zeroFill reports whether a section holds only .space and .align.
+func zeroFill(stmts []stmt) bool {
+	for i := range stmts {
+		if k := stmts[i].kind; k != stSpace && k != stAlign {
+			return false
+		}
+	}
+	return true
+}
+
+// put writes the encoded words to dst.
+func (e *encoder) put(dst []byte) {
+	for i, w := range e.words[:e.nw] {
+		binary.LittleEndian.PutUint32(dst[4*i:], w)
+	}
+}
+
+// emit encodes one instruction into the statement's words.
+func (e *encoder) emit(in isa.Inst) error {
+	w, err := isa.Encode(in)
+	if err != nil {
+		return e.errf("%v", err)
+	}
+	e.words[e.nw] = w
+	e.nw++
+	return nil
 }
 
 func (e *encoder) eval(x expr) (int64, error) {
-	v := x.Off
-	if x.Sym != "" {
-		addr, ok := e.symbols[x.Sym]
-		if !ok {
-			return 0, e.errf("undefined symbol %q", x.Sym)
+	v := x.off
+	if x.sym != 0 {
+		sym := &e.p.syms[x.sym-1]
+		if sym.sec == nil {
+			return 0, e.errf("undefined symbol %q", sym.name)
 		}
-		v += int64(addr)
+		v += int64(sym.addr)
 	}
-	if x.Hi {
+	if x.hi {
 		return (v + 0x800) &^ 0xfff, nil
 	}
-	if x.Lo {
+	if x.lo {
 		upper := (v + 0x800) &^ 0xfff
 		return v - upper, nil
 	}
 	return v, nil
 }
 
-func (e *encoder) reg(s string) (isa.Reg, error) {
-	r, ok := isa.RegByName(strings.TrimSpace(s))
-	if !ok {
-		return 0, e.errf("bad register %q", s)
+// check reports an operand's pass-1 lexing error.
+func (e *encoder) check(st *stmt, o *operand) error {
+	if o.err != opOK {
+		return e.errf("%s", o.err.message(e.name(st), e.p.bad[o.bad]))
 	}
-	return r, nil
+	return nil
 }
 
-// parseMem parses "off(reg)" with an optionally symbolic offset.
-func (e *encoder) parseMem(s string) (int64, isa.Reg, error) {
-	s = strings.TrimSpace(s)
-	open := strings.LastIndex(s, "(")
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, e.errf("bad memory operand %q", s)
-	}
-	r, err := e.reg(s[open+1 : len(s)-1])
-	if err != nil {
-		return 0, 0, err
-	}
-	offStr := strings.TrimSpace(s[:open])
-	if offStr == "" {
-		return 0, r, nil
-	}
-	p := &parser{line: e.line}
-	x, err := p.parseExpr(offStr)
-	if err != nil {
-		return 0, 0, err
-	}
-	off, err := e.eval(x)
-	return off, r, err
+// reg returns a register operand.
+func (e *encoder) reg(st *stmt, o *operand) (isa.Reg, error) {
+	return o.reg, e.check(st, o)
 }
 
-func mustWord(in isa.Inst) (uint32, error) {
-	return isa.Encode(in)
+// value evaluates a value operand.
+func (e *encoder) value(st *stmt, o *operand) (int64, error) {
+	if err := e.check(st, o); err != nil {
+		return 0, err
+	}
+	return e.eval(o.x)
+}
+
+func (e *encoder) need(st *stmt, n int) error {
+	if int(st.n) != n {
+		return e.errf("%s needs %d operands, got %d", e.name(st), n, st.n)
+	}
+	return nil
 }
 
 // encodeInst encodes one mnemonic (real or pseudo) into machine words.
-func (e *encoder) encodeInst(st *instStmt, pc uint64) ([]uint32, error) {
-	op := st.op
-	ops := st.operands
-	need := func(n int) error {
-		if len(ops) != n {
-			return e.errf("%s needs %d operands, got %d", op, n, len(ops))
-		}
-		return nil
-	}
-	one := func(in isa.Inst) ([]uint32, error) {
-		w, err := isa.Encode(in)
-		if err != nil {
-			return nil, e.errf("%v", err)
-		}
-		return []uint32{w}, nil
-	}
+// Each class checks its operands in the order the error a source with
+// several faults reports depends on.
+func (e *encoder) encodeInst(st *stmt, pc uint64) error {
+	m := &mnemonicTable[st.mn]
+	ops := e.p.ops[st.first : st.first+int32(st.parsed)]
+	switch m.class {
+	case clsNop:
+		return e.emit(isa.Inst{Op: isa.ADDI})
+	case clsRet:
+		return e.emit(isa.Inst{Op: isa.JALR, Rd: isa.Zero, Rs1: isa.RA})
+	case clsSys:
+		return e.emit(isa.Inst{Op: m.op})
 
-	// Pseudo-instructions first.
-	switch op {
-	case "nop":
-		return one(isa.Inst{Op: isa.ADDI})
-	case "li":
-		if err := need(2); err != nil {
-			return nil, err
+	case clsLi, clsLa:
+		if err := e.need(st, 2); err != nil {
+			return err
 		}
-		rd, err := e.reg(ops[0])
+		rd, err := e.reg(st, &ops[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p := &parser{line: e.line}
-		x, err := p.parseExpr(ops[1])
+		v, err := e.value(st, &ops[1])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		v, err := e.eval(x)
-		if err != nil {
-			return nil, err
-		}
-		return e.loadImm(rd, v, x.Sym != "")
-	case "la":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		p := &parser{line: e.line}
-		x, err := p.parseExpr(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		v, err := e.eval(x)
-		if err != nil {
-			return nil, err
-		}
-		return e.loadImm(rd, v, true)
-	case "mv":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err1 := e.reg(ops[0])
-		rs, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		return one(isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rs})
-	case "not":
-		rd, err1 := e.reg(ops[0])
-		rs, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		return one(isa.Inst{Op: isa.XORI, Rd: rd, Rs1: rs, Imm: -1})
-	case "neg":
-		rd, err1 := e.reg(ops[0])
-		rs, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		return one(isa.Inst{Op: isa.SUB, Rd: rd, Rs1: isa.Zero, Rs2: rs})
-	case "negw":
-		rd, err1 := e.reg(ops[0])
-		rs, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		return one(isa.Inst{Op: isa.SUBW, Rd: rd, Rs1: isa.Zero, Rs2: rs})
-	case "seqz":
-		rd, err1 := e.reg(ops[0])
-		rs, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		return one(isa.Inst{Op: isa.SLTIU, Rd: rd, Rs1: rs, Imm: 1})
-	case "snez":
-		rd, err1 := e.reg(ops[0])
-		rs, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		return one(isa.Inst{Op: isa.SLTU, Rd: rd, Rs1: isa.Zero, Rs2: rs})
-	case "sext.w":
-		rd, err1 := e.reg(ops[0])
-		rs, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		return one(isa.Inst{Op: isa.ADDIW, Rd: rd, Rs1: rs})
-	case "j":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return e.jump(isa.Zero, ops[0], pc)
-	case "jal":
-		if len(ops) == 1 {
-			return e.jump(isa.RA, ops[0], pc)
-		}
-	case "call":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return e.jump(isa.RA, ops[0], pc)
-	case "tail":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return e.jump(isa.Zero, ops[0], pc)
-	case "jr":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Inst{Op: isa.JALR, Rd: isa.Zero, Rs1: rs})
-	case "jalr":
-		if len(ops) == 1 { // jalr rs
-			rs, err := e.reg(ops[0])
-			if err != nil {
-				return nil, err
+		return e.loadImm(rd, v, m.class == clsLa || ops[1].x.sym != 0)
+
+	case clsMv, clsUnary:
+		if m.class == clsMv || st.n < 2 {
+			if err := e.need(st, 2); err != nil {
+				return err
 			}
-			return one(isa.Inst{Op: isa.JALR, Rd: isa.RA, Rs1: rs})
 		}
-	case "ret":
-		return one(isa.Inst{Op: isa.JALR, Rd: isa.Zero, Rs1: isa.RA})
-	case "beqz", "bnez", "blez", "bgez", "bltz", "bgtz":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(ops[0])
+		rd, err := e.reg(st, &ops[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		off, err := e.branchOff(ops[1], pc)
+		rs, err := e.reg(st, &ops[1])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		switch op {
-		case "beqz":
-			return one(isa.Inst{Op: isa.BEQ, Rs1: rs, Rs2: isa.Zero, Imm: off})
-		case "bnez":
-			return one(isa.Inst{Op: isa.BNE, Rs1: rs, Rs2: isa.Zero, Imm: off})
-		case "blez":
-			return one(isa.Inst{Op: isa.BGE, Rs1: isa.Zero, Rs2: rs, Imm: off})
-		case "bgez":
-			return one(isa.Inst{Op: isa.BGE, Rs1: rs, Rs2: isa.Zero, Imm: off})
-		case "bltz":
-			return one(isa.Inst{Op: isa.BLT, Rs1: rs, Rs2: isa.Zero, Imm: off})
-		case "bgtz":
-			return one(isa.Inst{Op: isa.BLT, Rs1: isa.Zero, Rs2: rs, Imm: off})
+		switch {
+		case m.class == clsMv:
+			return e.emit(isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rs})
+		case m.rtype:
+			return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: isa.Zero, Rs2: rs})
+		default:
+			return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: rs, Imm: m.imm})
 		}
-	case "bgt", "ble", "bgtu", "bleu":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs1, err1 := e.reg(ops[0])
-		rs2, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		off, err := e.branchOff(ops[2], pc)
-		if err != nil {
-			return nil, err
-		}
-		swap := map[string]isa.Op{"bgt": isa.BLT, "ble": isa.BGE, "bgtu": isa.BLTU, "bleu": isa.BGEU}
-		return one(isa.Inst{Op: swap[op], Rs1: rs2, Rs2: rs1, Imm: off})
-	}
 
-	// Real instructions.
-	iop, ok := isa.OpByName(op)
-	if !ok {
-		return nil, e.errf("unknown instruction %q", op)
-	}
-	switch {
-	case iop.IsROLoad():
+	case clsJump:
+		if err := e.need(st, 1); err != nil {
+			return err
+		}
+		return e.jump(st, m.rd, &ops[0], pc)
+
+	case clsJal:
+		if st.n == 1 {
+			return e.jump(st, isa.RA, &ops[0], pc)
+		}
+		if err := e.need(st, 2); err != nil {
+			return err
+		}
+		rd, err := e.reg(st, &ops[0])
+		if err != nil {
+			return err
+		}
+		return e.jump(st, rd, &ops[1], pc)
+
+	case clsJr:
+		if err := e.need(st, 1); err != nil {
+			return err
+		}
+		rs, err := e.reg(st, &ops[0])
+		if err != nil {
+			return err
+		}
+		return e.emit(isa.Inst{Op: isa.JALR, Rd: isa.Zero, Rs1: rs})
+
+	case clsJalr:
+		if st.n == 1 { // jalr rs
+			rs, err := e.reg(st, &ops[0])
+			if err != nil {
+				return err
+			}
+			return e.emit(isa.Inst{Op: isa.JALR, Rd: isa.RA, Rs1: rs})
+		}
+		if err := e.need(st, 2); err != nil {
+			return err
+		}
+		rd, err := e.reg(st, &ops[0])
+		if err != nil {
+			return err
+		}
+		off, err := e.value(st, &ops[1])
+		if err != nil {
+			return err
+		}
+		return e.emit(isa.Inst{Op: isa.JALR, Rd: rd, Rs1: ops[1].reg, Imm: off})
+
+	case clsROLoad:
 		// ld.ro rd, (rs1), key
-		if err := need(3); err != nil {
-			return nil, err
+		if err := e.need(st, 3); err != nil {
+			return err
 		}
-		rd, err := e.reg(ops[0])
+		rd, err := e.reg(st, &ops[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		addr := strings.TrimSpace(ops[1])
-		if !strings.HasPrefix(addr, "(") || !strings.HasSuffix(addr, ")") {
-			return nil, e.errf("%s address operand must be (reg), got %q", op, ops[1])
-		}
-		rs1, err := e.reg(addr[1 : len(addr)-1])
+		rs1, err := e.reg(st, &ops[1])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		key, err := strconv.ParseUint(strings.TrimSpace(ops[2]), 0, 16)
-		if err != nil || key > isa.MaxKey {
-			return nil, e.errf("bad key %q", ops[2])
+		if err := e.check(st, &ops[2]); err != nil {
+			return err
 		}
-		return one(isa.Inst{Op: iop, Rd: rd, Rs1: rs1, Key: uint16(key)})
+		return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: rs1, Key: uint16(ops[2].x.off)})
 
-	case iop.IsLoad():
-		if err := need(2); err != nil {
-			return nil, err
+	case clsLoad, clsStore:
+		if err := e.need(st, 2); err != nil {
+			return err
 		}
-		rd, err := e.reg(ops[0])
+		r, err := e.reg(st, &ops[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		off, rs1, err := e.parseMem(ops[1])
+		off, err := e.value(st, &ops[1])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(isa.Inst{Op: iop, Rd: rd, Rs1: rs1, Imm: off})
+		if m.class == clsStore {
+			return e.emit(isa.Inst{Op: m.op, Rs1: ops[1].reg, Rs2: r, Imm: off})
+		}
+		return e.emit(isa.Inst{Op: m.op, Rd: r, Rs1: ops[1].reg, Imm: off})
 
-	case iop.IsStore():
-		if err := need(2); err != nil {
-			return nil, err
+	case clsUpper:
+		if err := e.need(st, 2); err != nil {
+			return err
 		}
-		rs2, err := e.reg(ops[0])
+		rd, err := e.reg(st, &ops[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		off, rs1, err := e.parseMem(ops[1])
+		v, err := e.value(st, &ops[1])
 		if err != nil {
-			return nil, err
-		}
-		return one(isa.Inst{Op: iop, Rs1: rs1, Rs2: rs2, Imm: off})
-
-	case iop.IsBranch():
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs1, err1 := e.reg(ops[0])
-		rs2, err2 := e.reg(ops[1])
-		if err1 != nil || err2 != nil {
-			return nil, firstErr(err1, err2)
-		}
-		off, err := e.branchOff(ops[2], pc)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Inst{Op: iop, Rs1: rs1, Rs2: rs2, Imm: off})
-
-	case iop == isa.JAL:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.jump(rd, ops[1], pc)
-
-	case iop == isa.JALR:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		off, rs1, err := e.parseMem(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Inst{Op: isa.JALR, Rd: rd, Rs1: rs1, Imm: off})
-
-	case iop == isa.LUI || iop == isa.AUIPC:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		p := &parser{line: e.line}
-		x, err := p.parseExpr(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		v, err := e.eval(x)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		// Accept both "lui rd, 0x11" (page number) and %hi() results.
-		if !x.Hi && x.Sym == "" && v >= 0 && v < 1<<20 {
+		if x := ops[1].x; !x.hi && x.sym == 0 && v >= 0 && v < 1<<20 {
 			v <<= 12
 		}
-		return one(isa.Inst{Op: iop, Rd: rd, Imm: v})
+		return e.emit(isa.Inst{Op: m.op, Rd: rd, Imm: v})
 
-	case iop == isa.ECALL || iop == isa.EBREAK || iop == isa.FENCE:
-		return one(isa.Inst{Op: iop})
+	case clsCSR:
+		if err := e.need(st, 3); err != nil {
+			return err
+		}
+		rd, err := e.reg(st, &ops[0])
+		if err != nil {
+			return err
+		}
+		if err := e.check(st, &ops[1]); err != nil {
+			return err
+		}
+		rs1, err := e.reg(st, &ops[2])
+		if err != nil {
+			return err
+		}
+		return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: rs1, Imm: ops[1].x.off})
 
-	case iop == isa.CSRRW || iop == isa.CSRRS || iop == isa.CSRRC:
-		if err := need(3); err != nil {
-			return nil, err
+	case clsALU:
+		if st.n != 3 {
+			return e.errf("%s needs 3 operands", e.name(st))
 		}
-		rd, err := e.reg(ops[0])
+		rd, err := e.reg(st, &ops[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		csr, err := strconv.ParseUint(strings.TrimSpace(ops[1]), 0, 12)
+		rs1, err := e.reg(st, &ops[1])
 		if err != nil {
-			return nil, e.errf("bad CSR %q", ops[1])
+			return err
 		}
-		rs1, err := e.reg(ops[2])
+		if ops[2].isReg {
+			return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: rs1, Rs2: ops[2].reg})
+		}
+		v, err := e.value(st, &ops[2])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(isa.Inst{Op: iop, Rd: rd, Rs1: rs1, Imm: int64(csr)})
-
-	default: // R-type and I-type ALU
-		if len(ops) != 3 {
-			return nil, e.errf("%s needs 3 operands", op)
-		}
-		rd, err := e.reg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := e.reg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if r2, err2 := e.reg(ops[2]); err2 == nil {
-			return one(isa.Inst{Op: iop, Rd: rd, Rs1: rs1, Rs2: r2})
-		}
-		p := &parser{line: e.line}
-		x, err := p.parseExpr(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		v, err := e.eval(x)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Inst{Op: iop, Rd: rd, Rs1: rs1, Imm: v})
+		return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: rs1, Imm: v})
 	}
+	return e.errf("unknown instruction %q", e.name(st))
 }
 
-// materializeImm builds the instruction sequence loading the 64-bit
-// constant v into rd, following the GNU assembler's RV64 expansion:
-// a 32-bit lui/addiw core for the top bits, then slli+addi steps for
-// the remainder. force2 pins the two-instruction lui+addiw form used
-// for (32-bit) symbol addresses so pass-1 sizes stay exact.
-func materializeImm(rd isa.Reg, v int64, force2 bool) []isa.Inst {
+// materializeImm appends to seq the instructions loading the 64-bit
+// constant v into rd, following the GNU assembler's RV64 expansion: a
+// 32-bit lui/addiw core for the top bits, then slli+addi steps for the
+// remainder. force2 pins the two-instruction lui+addiw form used for
+// (32-bit) symbol addresses so pass-1 sizes stay exact. At most
+// maxImmInsts instructions are appended.
+func materializeImm(seq []isa.Inst, rd isa.Reg, v int64, force2 bool) []isa.Inst {
 	if !force2 && v >= -2048 && v < 2048 {
-		return []isa.Inst{{Op: isa.ADDI, Rd: rd, Rs1: isa.Zero, Imm: v}}
+		return append(seq, isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: isa.Zero, Imm: v})
 	}
 	if v >= -(1<<31) && v < 1<<31 {
 		upper := (v + 0x800) &^ 0xfff
@@ -676,17 +715,16 @@ func materializeImm(rd isa.Reg, v int64, force2 bool) []isa.Inst {
 		// the top of the positive range wrap (lui 0x80000 + addiw -1 =
 		// 0x7fffffff).
 		upper = int64(int32(upper))
-		return []isa.Inst{
-			{Op: isa.LUI, Rd: rd, Imm: upper},
+		return append(seq,
+			isa.Inst{Op: isa.LUI, Rd: rd, Imm: upper},
 			// addiw sign-extends the 32-bit result, matching GNU as.
-			{Op: isa.ADDIW, Rd: rd, Rs1: rd, Imm: low},
-		}
+			isa.Inst{Op: isa.ADDIW, Rd: rd, Rs1: rd, Imm: low})
 	}
 	// 64-bit case: materialize the high part recursively, then shift
 	// in 12-bit chunks.
 	lo12 := v << 52 >> 52
 	hi := (v - lo12) >> 12
-	seq := materializeImm(rd, hi, false)
+	seq = materializeImm(seq, rd, hi, false)
 	seq = append(seq, isa.Inst{Op: isa.SLLI, Rd: rd, Rs1: rd, Imm: 12})
 	if lo12 != 0 {
 		seq = append(seq, isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rd, Imm: lo12})
@@ -695,17 +733,14 @@ func materializeImm(rd isa.Reg, v int64, force2 bool) []isa.Inst {
 }
 
 // loadImm emits the li/la sequence.
-func (e *encoder) loadImm(rd isa.Reg, v int64, force2 bool) ([]uint32, error) {
-	seq := materializeImm(rd, v, force2)
-	words := make([]uint32, len(seq))
-	for i, in := range seq {
-		w, err := isa.Encode(in)
-		if err != nil {
-			return nil, e.errf("%v", err)
+func (e *encoder) loadImm(rd isa.Reg, v int64, force2 bool) error {
+	var buf [maxImmInsts]isa.Inst
+	for _, in := range materializeImm(buf[:0], rd, v, force2) {
+		if err := e.emit(in); err != nil {
+			return err
 		}
-		words[i] = w
 	}
-	return words, nil
+	return nil
 }
 
 // invertBranch returns the opposite condition.
@@ -729,68 +764,52 @@ func invertBranch(op isa.Op) isa.Op {
 
 // encodeBranch emits a conditional branch, using the relaxed
 // inverted-branch + jal form when the linker marked it long.
-func (e *encoder) encodeBranch(b *branchStmt, pc uint64) ([]uint32, error) {
-	off, err := e.eval(b.target)
+func (e *encoder) encodeBranch(st *stmt, pc uint64) error {
+	target := e.p.ops[st.first].x
+	off, err := e.eval(target)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if b.target.Sym != "" {
+	if target.sym != 0 {
 		off -= int64(pc)
 	}
-	if !b.long {
-		w, err := isa.Encode(isa.Inst{Op: b.op, Rs1: b.rs1, Rs2: b.rs2, Imm: off})
+	if !st.long {
+		w, err := isa.Encode(isa.Inst{Op: st.bop, Rs1: st.rs1, Rs2: st.rs2, Imm: off})
 		if err != nil {
-			return nil, e.errf("branch target out of range: %v", err)
+			return e.errf("branch target out of range: %v", err)
 		}
-		return []uint32{w}, nil
+		e.words[0], e.nw = w, 1
+		return nil
 	}
 	// Relaxed: "bcc rs1, rs2, target" becomes
 	//   b!cc rs1, rs2, +8
 	//   jal  zero, target
-	w1, err := isa.Encode(isa.Inst{Op: invertBranch(b.op), Rs1: b.rs1, Rs2: b.rs2, Imm: 8})
-	if err != nil {
-		return nil, e.errf("%v", err)
+	if err := e.emit(isa.Inst{Op: invertBranch(st.bop), Rs1: st.rs1, Rs2: st.rs2, Imm: 8}); err != nil {
+		return err
 	}
-	w2, err := isa.Encode(isa.Inst{Op: isa.JAL, Rd: isa.Zero, Imm: off - 4})
+	w, err := isa.Encode(isa.Inst{Op: isa.JAL, Rd: isa.Zero, Imm: off - 4})
 	if err != nil {
-		return nil, e.errf("relaxed branch target out of jal range: %v", err)
+		return e.errf("relaxed branch target out of jal range: %v", err)
 	}
-	return []uint32{w1, w2}, nil
+	e.words[1], e.nw = w, 2
+	return nil
 }
 
-func (e *encoder) branchOff(target string, pc uint64) (int64, error) {
-	p := &parser{line: e.line}
-	x, err := p.parseExpr(target)
+// jump emits jal rd, target: a symbol is made pc-relative, a number is
+// already an offset.
+func (e *encoder) jump(st *stmt, rd isa.Reg, target *operand, pc uint64) error {
+	off, err := e.value(st, target)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	v, err := e.eval(x)
-	if err != nil {
-		return 0, err
-	}
-	if x.Sym == "" {
-		return v, nil // numeric: already an offset
-	}
-	return v - int64(pc), nil
-}
-
-func (e *encoder) jump(rd isa.Reg, target string, pc uint64) ([]uint32, error) {
-	off, err := e.branchOff(target, pc)
-	if err != nil {
-		return nil, err
+	if target.x.sym != 0 {
+		off -= int64(pc)
 	}
 	w, err := isa.Encode(isa.Inst{Op: isa.JAL, Rd: rd, Imm: off})
 	if err != nil {
-		return nil, e.errf("jump target out of range: %v", err)
+		return e.errf("jump target out of range: %v", err)
 	}
-	return []uint32{w}, nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
+	e.words[e.nw] = w
+	e.nw++
 	return nil
 }

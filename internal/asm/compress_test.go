@@ -147,18 +147,28 @@ loop:
 }
 
 func TestLiteralInstRejectsSymbolic(t *testing.T) {
+	// literalInst sees the operands pass 1 lexed; a symbolic operand
+	// (or a mnemonic it does not know) must keep the instruction at
+	// its 4-byte encoding.
 	cases := [][2]string{
 		{"ld", "a0, sym(a1)"},
 		{"li", "a0, sym"},
 		{"addi", "a0, a1, sym"},
 		{"ld.ro", "a0, (a1), sym"},
+		{"mul", "a0, a1, a2"},
 	}
 	for _, c := range cases {
-		if _, ok := literalInst(c[0], splitOperands(c[1])); ok {
-			t.Errorf("literalInst(%s %s) accepted symbolic operand", c[0], c[1])
+		p := new(parser)
+		p.reset("", false)
+		texts := splitOperands(nil, c[1])
+		m := &mnemonicTable[lookupMnemonic(c[0])]
+		forms := operandForms(m.class, len(texts))
+		ops := make([]operand, len(forms))
+		for i, f := range forms {
+			p.parseOperand(&ops[i], f, texts[i])
 		}
-	}
-	if _, ok := literalInst("mul", splitOperands("a0, a1, a2")); ok {
-		t.Error("literalInst accepted unsupported mnemonic")
+		if _, ok := p.literalInst(m, texts, ops); ok {
+			t.Errorf("literalInst(%s %s) accepted a non-literal instruction", c[0], c[1])
+		}
 	}
 }

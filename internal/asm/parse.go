@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"roload/internal/isa"
 )
@@ -18,51 +20,121 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg)
 }
 
-// expr is a symbol-relative constant: Sym == "" means a plain integer.
+// expr is a symbol-relative constant: sym == 0 means a plain integer.
 type expr struct {
-	Sym string
-	Off int64
-	Hi  bool // %hi(sym)
-	Lo  bool // %lo(sym)
+	off int64
+	sym int32 // 1 + index into parser.syms
+	hi  bool  // %hi(...)
+	lo  bool  // %lo(...)
 }
 
-// stmt is one sized unit within a section: an instruction (possibly a
-// pseudo expansion) or a data directive.
+// opErr says why an operand does not take the form its position needs.
+// Pass 1 records it; the message is built only when an error is
+// reported, in the order the encoder reaches it.
+type opErr uint8
+
+const (
+	opOK      opErr = iota
+	errReg          // bad register %q
+	errMem          // bad memory operand %q
+	errEmpty        // empty expression
+	errOffset       // bad offset in %q
+	errExpr         // cannot parse expression %q
+	errROAddr       // <op> address operand must be (reg), got %q
+	errKey          // bad key %q
+	errCSR          // bad CSR %q
+)
+
+// operand is one instruction operand, lexed in pass 1 into the form its
+// position takes: a register, a value (integer, sym±off, %hi/%lo), a
+// register-or-value, off(reg), (reg), a ROLoad key or a CSR number.
+type operand struct {
+	x     expr    // the value; the offset of off(reg); the key or CSR number
+	bad   int32   // with err: index into parser.bad of the text the message quotes
+	err   opErr   // opOK when the operand is well formed
+	reg   isa.Reg // the register; the base of off(reg) or (reg)
+	isReg bool    // a register-or-value position held a register
+	lit   bool    // x is a plain integer literal (strconv.ParseInt syntax)
+}
+
+// form is the operand shape a mnemonic expects at a position.
+type form uint8
+
+const (
+	fReg form = iota
+	fExpr
+	fRegOrExpr // the third operand of an ALU instruction
+	fMem       // off(reg), offset optional and possibly symbolic
+	fROAddr    // (reg), the address operand of the ld.ro family
+	fKey       // a ROLoad page key
+	fCSR       // a CSR number
+)
+
+func (e opErr) message(op, bad string) string {
+	switch e {
+	case errReg:
+		return fmt.Sprintf("bad register %q", bad)
+	case errMem:
+		return fmt.Sprintf("bad memory operand %q", bad)
+	case errEmpty:
+		return "empty expression"
+	case errOffset:
+		return fmt.Sprintf("bad offset in %q", bad)
+	case errExpr:
+		return fmt.Sprintf("cannot parse expression %q", bad)
+	case errROAddr:
+		return fmt.Sprintf("%s address operand must be (reg), got %q", op, bad)
+	case errKey:
+		return fmt.Sprintf("bad key %q", bad)
+	case errCSR:
+		return fmt.Sprintf("bad CSR %q", bad)
+	}
+	return "malformed operand"
+}
+
+// stmtKind tells what a statement emits.
+type stmtKind uint8
+
+const (
+	stSpace  stmtKind = iota // size zero bytes (.space, .zero, .skip)
+	stAlign                  // zero padding up to align
+	stInst                   // an instruction or pseudo expansion
+	stBranch                 // a conditional branch, relaxable to 8 bytes
+	stC16                    // a compressed (RVC) instruction
+	stData                   // .byte/.half/.word/.quad values or a string
+)
+
+// stmt is one sized unit within a section. It holds no pointers, so a
+// section's statements are one flat allocation the GC need not scan.
 type stmt struct {
-	line int
+	off  uint64 // byte offset in the section, set by layout
 	size uint64
-
-	// instruction statements
-	inst   *instStmt
-	branch *branchStmt
-	c16    uint16 // compressed (RVC) encoding; valid when size == 2
-	isC16  bool
-	// data statements
-	data  []dataItem
-	align uint64 // alignment request in bytes (power of two)
-	space uint64 // zero fill
-}
-
-type instStmt struct {
-	op       string // mnemonic as written (pseudo or real)
-	operands []string
-}
-
-// branchStmt is a canonicalized conditional branch, kept separate so
-// the linker can relax out-of-range branches into an inverted branch
-// over a jal (size 4 -> 8). Branch pseudos (beqz, bgt, ...) lower to
-// this form at parse time.
-type branchStmt struct {
-	op       isa.Op
+	line int32
+	// first indexes parser.ops (instructions, branches) or parser.items
+	// (data); for an unknown mnemonic it indexes parser.bad, which holds
+	// the name. n is the operand count as written or the item count.
+	first int32
+	n     int32
+	kind  stmtKind
+	mn    uint8 // index into mnemonicTable; 0 for an unknown mnemonic
+	// parsed is how many operands pass 1 lexed (0 when the count is one
+	// the encoder rejects).
+	parsed uint8
+	p2     uint8 // stAlign: log2 of the alignment
+	// Branches: the canonical opcode and registers (pseudos lowered), and
+	// whether layout relaxed the branch to an inverted branch over a jal.
+	bop      isa.Op
 	rs1, rs2 isa.Reg
-	target   expr
-	long     bool // relaxed to inverted-branch + jal
+	long     bool
+	c16      uint16 // the stC16 encoding
 }
 
+// dataItem is one value of a data directive, or the bytes of a string.
 type dataItem struct {
-	width int // 1,2,4,8
 	val   expr
-	str   []byte // for .asciz, width 0
+	str   string
+	width uint8 // 1, 2, 4, 8; 0 for a string
+	nul   bool  // .asciz: a NUL follows str
 }
 
 type section struct {
@@ -70,31 +142,72 @@ type section struct {
 	perm  Perm
 	key   uint16
 	stmts []stmt
+	// layout
+	base, size uint64
 }
 
-// symbol points at a statement; its byte offset is computed during
-// layout (which may iterate while branches relax).
+// symbol is a name the source defines or references. A definition
+// points at a statement; its address is computed during layout.
 type symbol struct {
-	section string
-	stmtIdx int
+	name string
+	sec  *section // nil while undefined
+	stmt int
+	addr uint64
 }
 
-// parser accumulates sections and symbols during pass 1.
+// parser is pass 1: it lexes each line once into sized statements with
+// typed operands, and collects sections and symbols.
 type parser struct {
-	sections map[string]*section
-	order    []string
-	symbols  map[string]symbol
-	globals  map[string]bool
+	sections []*section // in order of first appearance
 	cur      *section
+	syms     []symbol
+	symIndex map[string]int32
+	defined  int // number of defined symbols
+	ops      []operand
+	items    []dataItem
+	bad      []string // texts error messages quote
+	texts    []string // the current line's operand texts (reused)
+	text     []stmt   // the .text statements' backing array
 	line     int
 	compress bool // attempt RVC encodings for literal instructions
 }
 
-func newParser() *parser {
-	return &parser{
-		sections: make(map[string]*section),
-		symbols:  make(map[string]symbol),
-		globals:  make(map[string]bool),
+// parsers recycles pass-1 state between assemblies: its arenas are the
+// assembler's only allocations that grow with the source, and nothing
+// in a returned Image or error points into them.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// reset readies p for src, keeping the arenas of an earlier use. They
+// are sized once: a line holds at most one statement, and every operand
+// is a line's first or follows a comma.
+func (p *parser) reset(src string, compress bool) {
+	lines := strings.Count(src, "\n") + 1
+	nops := lines + strings.Count(src, ",")
+	// Drop the strings into the previous source.
+	clear(p.sections)
+	clear(p.syms)
+	clear(p.items)
+	clear(p.bad)
+	if p.symIndex == nil {
+		p.symIndex = make(map[string]int32, lines/8)
+	}
+	clear(p.symIndex)
+	if cap(p.ops) < nops {
+		p.ops = make([]operand, 0, nops)
+	}
+	if cap(p.text) < lines {
+		p.text = make([]stmt, 0, lines)
+	}
+	*p = parser{
+		sections: p.sections[:0],
+		syms:     p.syms[:0],
+		symIndex: p.symIndex,
+		ops:      p.ops[:0],
+		items:    p.items[:0],
+		bad:      p.bad[:0],
+		texts:    p.texts[:0],
+		text:     p.text[:0],
+		compress: compress,
 	}
 }
 
@@ -103,14 +216,18 @@ func (p *parser) errf(format string, args ...interface{}) error {
 }
 
 func (p *parser) enterSection(name string) error {
-	if s, ok := p.sections[name]; ok {
-		p.cur = s
-		return nil
+	for _, s := range p.sections {
+		if s.name == name {
+			p.cur = s
+			return nil
+		}
 	}
 	s := &section{name: name}
 	switch {
 	case name == ".text":
 		s.perm = PermRead | PermExec
+		// Nearly every line of generated code is a .text statement.
+		s.stmts = p.text
 	case name == ".data" || name == ".bss":
 		s.perm = PermRead | PermWrite
 	case name == ".rodata":
@@ -128,16 +245,27 @@ func (p *parser) enterSection(name string) error {
 	default:
 		return p.errf("unknown section %q", name)
 	}
-	p.sections[name] = s
-	p.order = append(p.order, name)
+	p.sections = append(p.sections, s)
 	p.cur = s
 	return nil
 }
 
-// splitOperands splits on top-level commas, respecting parentheses and
-// quoted strings.
-func splitOperands(s string) []string {
-	var out []string
+// intern returns the expr.sym value naming a symbol, creating an
+// undefined entry on first mention.
+func (p *parser) intern(name string) int32 {
+	if id, ok := p.symIndex[name]; ok {
+		return id + 1
+	}
+	id := int32(len(p.syms))
+	p.syms = append(p.syms, symbol{name: name})
+	p.symIndex[name] = id
+	return id + 1
+}
+
+// splitOperands appends to dst the trimmed operands of s, split on
+// top-level commas (outside parentheses and quoted strings).
+func splitOperands(dst []string, s string) []string {
+	n0 := len(dst)
 	depth := 0
 	inStr := false
 	start := 0
@@ -155,18 +283,40 @@ func splitOperands(s string) []string {
 			}
 		case ',':
 			if depth == 0 && !inStr {
-				out = append(out, strings.TrimSpace(s[start:i]))
+				dst = append(dst, trim(s[start:i]))
 				start = i + 1
 			}
 		}
 	}
-	last := strings.TrimSpace(s[start:])
-	if last != "" || len(out) > 0 {
-		out = append(out, last)
+	last := trim(s[start:])
+	if last != "" || len(dst) > n0 {
+		dst = append(dst, last)
 	}
-	return out
+	return dst
 }
 
+// trim is strings.TrimSpace, with ASCII space trimmed inline; text
+// that has Unicode at either end after that goes to strings.TrimSpace.
+func trim(s string) string {
+	i, j := 0, len(s)
+	for i < j && isSpace(s[i]) {
+		i++
+	}
+	for j > i && isSpace(s[j-1]) {
+		j--
+	}
+	if i < j && (s[i] >= utf8.RuneSelf || s[j-1] >= utf8.RuneSelf) {
+		return strings.TrimSpace(s[i:j])
+	}
+	return s[i:j]
+}
+
+// isSpace reports the ASCII space characters strings.TrimSpace trims.
+func isSpace(c byte) bool {
+	return c == ' ' || c-'\t' <= '\r'-'\t'
+}
+
+// stripComment cuts a '#' or '//' comment that is not inside a string.
 func stripComment(line string) string {
 	inStr := false
 	for i := 0; i < len(line); i++ {
@@ -186,39 +336,51 @@ func stripComment(line string) string {
 	return line
 }
 
+// cutWord splits a statement at its first space into the mnemonic or
+// directive name and the trimmed rest.
+func cutWord(line string) (name, rest string) {
+	if i := strings.IndexByte(line, ' '); i >= 0 {
+		return line[:i], trim(line[i+1:])
+	}
+	return line, ""
+}
+
 func (p *parser) parse(src string) error {
 	p.line = 0
-	for _, raw := range strings.Split(src, "\n") {
-		p.line++
-		line := strings.TrimSpace(stripComment(raw))
-		if line == "" {
-			continue
+	for start := 0; start <= len(src); {
+		end := start + strings.IndexByte(src[start:], '\n')
+		if end < start {
+			end = len(src)
 		}
+		raw := src[start:end]
+		start = end + 1
+		p.line++
+		line := trim(stripComment(raw))
 		// Labels (possibly several on one line).
-		for {
-			idx := strings.Index(line, ":")
+		for line != "" {
+			idx := strings.IndexByte(line, ':')
 			if idx < 0 {
 				break
 			}
-			head := strings.TrimSpace(line[:idx])
+			head := trim(line[:idx])
 			if !isIdent(head) {
 				break
 			}
 			if err := p.defineLabel(head); err != nil {
 				return err
 			}
-			line = strings.TrimSpace(line[idx+1:])
+			line = trim(line[idx+1:])
 		}
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, ".") {
-			if err := p.directive(line); err != nil {
-				return err
-			}
-			continue
+		var err error
+		if line[0] == '.' {
+			err = p.directive(line)
+		} else {
+			err = p.instruction(line)
 		}
-		if err := p.instruction(line); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -229,10 +391,11 @@ func isIdent(s string) bool {
 	if s == "" {
 		return false
 	}
-	for i, r := range s {
-		ok := r == '_' || r == '.' || r == '$' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		ok := c == '_' || c == '.' || c == '$' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
 			return false
 		}
@@ -246,378 +409,487 @@ func (p *parser) defineLabel(name string) error {
 			return err
 		}
 	}
-	if _, dup := p.symbols[name]; dup {
+	sym := &p.syms[p.intern(name)-1]
+	if sym.sec != nil {
 		return p.errf("symbol %q redefined", name)
 	}
-	p.symbols[name] = symbol{section: p.cur.name, stmtIdx: len(p.cur.stmts)}
+	sym.sec = p.cur
+	sym.stmt = len(p.cur.stmts)
+	p.defined++
 	return nil
 }
 
 func (p *parser) directive(line string) error {
-	fields := strings.SplitN(line, " ", 2)
-	name := fields[0]
-	rest := ""
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
+	name, rest := cutWord(line)
 	switch name {
 	case ".text", ".data", ".bss", ".rodata":
 		return p.enterSection(name)
 	case ".section":
-		return p.enterSection(strings.TrimSpace(rest))
+		return p.enterSection(rest)
 	case ".globl", ".global":
-		p.globals[rest] = true
-		return nil
+		return nil // every symbol is visible to the one-unit link
 	case ".align", ".p2align":
 		n, err := strconv.ParseUint(rest, 0, 8)
 		if err != nil || n > 12 {
 			return p.errf("bad alignment %q", rest)
 		}
-		return p.addStmt(stmt{line: p.line, align: 1 << n})
+		return p.addStmt(stmt{kind: stAlign, p2: uint8(n)})
 	case ".space", ".zero", ".skip":
 		n, err := strconv.ParseUint(rest, 0, 32)
 		if err != nil {
 			return p.errf("bad size %q", rest)
 		}
-		return p.addStmt(stmt{line: p.line, size: n, space: n})
+		return p.addStmt(stmt{kind: stSpace, size: n})
 	case ".byte", ".half", ".word", ".quad", ".dword":
-		width := map[string]int{".byte": 1, ".half": 2, ".word": 4, ".quad": 8, ".dword": 8}[name]
-		var items []dataItem
-		for _, op := range splitOperands(rest) {
-			e, err := p.parseExpr(op)
-			if err != nil {
-				return err
+		width := dataWidth(name)
+		first := len(p.items)
+		p.texts = splitOperands(p.texts[:0], rest)
+		for _, op := range p.texts {
+			x, _, e, bad := p.parseExpr(op)
+			if e != opOK {
+				return p.errf("%s", e.message("", p.bad[bad]))
 			}
-			items = append(items, dataItem{width: width, val: e})
+			p.items = append(p.items, dataItem{width: width, val: x})
 		}
-		if len(items) == 0 {
+		n := len(p.items) - first
+		if n == 0 {
 			return p.errf("%s needs at least one value", name)
 		}
-		return p.addStmt(stmt{line: p.line, size: uint64(width * len(items)), data: items})
-	case ".asciz", ".string":
+		return p.addStmt(stmt{kind: stData, size: uint64(int(width) * n),
+			first: int32(first), n: int32(n)})
+	case ".asciz", ".string", ".ascii":
 		s, err := strconv.Unquote(rest)
 		if err != nil {
 			return p.errf("bad string %q", rest)
 		}
-		b := append([]byte(s), 0)
-		return p.addStmt(stmt{line: p.line, size: uint64(len(b)),
-			data: []dataItem{{str: b}}})
-	case ".ascii":
-		s, err := strconv.Unquote(rest)
-		if err != nil {
-			return p.errf("bad string %q", rest)
+		item := dataItem{str: s, nul: name != ".ascii"}
+		size := uint64(len(s))
+		if item.nul {
+			size++
 		}
-		return p.addStmt(stmt{line: p.line, size: uint64(len(s)),
-			data: []dataItem{{str: []byte(s)}}})
+		p.items = append(p.items, item)
+		return p.addStmt(stmt{kind: stData, size: size,
+			first: int32(len(p.items) - 1), n: 1})
 	default:
 		return p.errf("unknown directive %q", name)
 	}
 }
 
+func dataWidth(directive string) uint8 {
+	switch directive {
+	case ".byte":
+		return 1
+	case ".half":
+		return 2
+	case ".word":
+		return 4
+	}
+	return 8
+}
+
+// addStmt appends s, stamped with the current line, to the current
+// section.
 func (p *parser) addStmt(s stmt) error {
 	if p.cur == nil {
 		if err := p.enterSection(".text"); err != nil {
 			return err
 		}
 	}
-	// .align padding is resolved during layout, which knows offsets.
+	s.line = int32(p.line)
 	p.cur.stmts = append(p.cur.stmts, s)
 	return nil
 }
 
+// badText records a text an error message may quote.
+func (p *parser) badText(s string) int32 {
+	p.bad = append(p.bad, s)
+	return int32(len(p.bad) - 1)
+}
+
+// instruction lexes one instruction line into a statement. Errors the
+// encoder would report are recorded in the operands, not returned here,
+// so that pass 1 reports only its own errors (branch operands, li, and
+// directives) and pass 2 reports the rest in image order.
 func (p *parser) instruction(line string) error {
-	fields := strings.SplitN(line, " ", 2)
-	op := strings.ToLower(fields[0])
-	rest := ""
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
+	name, rest := cutWord(line)
+	name = strings.ToLower(name)
+	p.texts = splitOperands(p.texts[:0], rest)
+	texts := p.texts
+	mi := lookupMnemonic(name)
+	m := &mnemonicTable[mi]
+	if m.class == clsBranch {
+		return p.branch(mi, texts)
 	}
-	operands := splitOperands(rest)
-	if b, ok, err := p.branchStmt(op, operands); err != nil {
-		return err
-	} else if ok {
-		return p.addStmt(stmt{line: p.line, size: 4, branch: b})
+
+	first := len(p.ops)
+	forms := operandForms(m.class, len(texts))
+	for i, f := range forms {
+		p.ops = append(p.ops, operand{})
+		p.parseOperand(&p.ops[len(p.ops)-1], f, texts[i])
 	}
-	if p.compress {
-		if in, ok := literalInst(op, operands); ok {
+	ops := p.ops[first:]
+	if p.compress && m.compress {
+		if in, ok := p.literalInst(m, texts, ops); ok {
 			if raw, ok := isa.TryCompress(in); ok {
-				return p.addStmt(stmt{line: p.line, size: 2, c16: raw, isC16: true})
+				p.ops = p.ops[:first]
+				return p.addStmt(stmt{kind: stC16, size: 2, c16: raw})
 			}
 		}
 	}
-	size, err := p.instSize(op, operands)
+
+	size := uint64(4)
+	switch m.class {
+	case clsLi:
+		if len(texts) != 2 {
+			return p.errf("li needs 2 operands")
+		}
+		if x := &ops[1]; x.err != opOK {
+			return p.errf("%s", x.err.message(name, p.bad[x.bad]))
+		} else if x.x.sym != 0 {
+			size = 8 // lui+addiw
+		} else {
+			var buf [maxImmInsts]isa.Inst
+			size = uint64(4 * len(materializeImm(buf[:0], 0, x.x.off, false)))
+		}
+	case clsLa:
+		size = 8 // lui+addiw
+	case clsAt:
+		size = 12 // la + access
+	}
+	if mi == 0 {
+		first = int(p.badText(name))
+	}
+	return p.addStmt(stmt{kind: stInst, size: size, mn: mi,
+		first: int32(first), n: int32(len(texts)), parsed: uint8(len(forms))})
+}
+
+// branch lowers a conditional branch (real or pseudo) to its canonical
+// form, which layout may relax. Its operand errors are pass-1 errors.
+func (p *parser) branch(mi uint8, texts []string) error {
+	m := &mnemonicTable[mi]
+	if len(texts) != int(m.nops) {
+		return p.errf("%s needs %d operands, got %d", m.name, m.nops, len(texts))
+	}
+	rs1, err := p.branchReg(texts, m.rs1)
 	if err != nil {
 		return err
 	}
-	return p.addStmt(stmt{
-		line: p.line,
-		size: size,
-		inst: &instStmt{op: op, operands: operands},
-	})
+	rs2, err := p.branchReg(texts, m.rs2)
+	if err != nil {
+		return err
+	}
+	var target operand
+	p.parseOperand(&target, fExpr, texts[m.nops-1])
+	if target.err != opOK {
+		return p.errf("%s", target.err.message(m.name, p.bad[target.bad]))
+	}
+	p.ops = append(p.ops, target)
+	return p.addStmt(stmt{kind: stBranch, size: 4,
+		bop: m.op, rs1: rs1, rs2: rs2, first: int32(len(p.ops) - 1)})
+}
+
+// branchReg returns the branch register operand texts[idx], or zero for
+// the implicit operand (idx < 0) of a compare-with-zero pseudo.
+func (p *parser) branchReg(texts []string, idx int8) (isa.Reg, error) {
+	if idx < 0 {
+		return isa.Zero, nil
+	}
+	r, ok := isa.RegByName(texts[idx])
+	if !ok {
+		return 0, p.errf("bad register %q", texts[idx])
+	}
+	return r, nil
+}
+
+// operandForms returns the forms pass 1 lexes the operands of a
+// mnemonic class into, given how many operands were written; none when
+// the count is one the encoder rejects.
+func operandForms(c class, n int) []form {
+	var forms []form
+	switch c {
+	case clsLi, clsLa, clsUpper:
+		forms = formsRegExpr
+	case clsMv:
+		forms = formsRegReg
+	case clsUnary:
+		if n >= 2 {
+			return formsRegReg // extra operands are ignored
+		}
+	case clsJump:
+		forms = formsExpr
+	case clsJal:
+		if n == 1 {
+			return formsExpr
+		}
+		forms = formsRegExpr
+	case clsJr:
+		forms = formsReg
+	case clsJalr:
+		if n == 1 {
+			return formsReg
+		}
+		forms = formsRegMem
+	case clsROLoad:
+		forms = formsROLoad
+	case clsLoad, clsStore:
+		forms = formsRegMem
+	case clsCSR:
+		forms = formsCSR
+	case clsALU:
+		forms = formsALU
+	}
+	if len(forms) != n {
+		return nil
+	}
+	return forms
+}
+
+var (
+	formsReg     = []form{fReg}
+	formsExpr    = []form{fExpr}
+	formsRegReg  = []form{fReg, fReg}
+	formsRegExpr = []form{fReg, fExpr}
+	formsRegMem  = []form{fReg, fMem}
+	formsROLoad  = []form{fReg, fROAddr, fKey}
+	formsCSR     = []form{fReg, fCSR, fReg}
+	formsALU     = []form{fReg, fReg, fRegOrExpr}
+)
+
+// parseOperand lexes one trimmed operand text into form f, filling the
+// zero operand o.
+func (p *parser) parseOperand(o *operand, f form, s string) {
+	switch f {
+	case fReg:
+		o.reg, o.isReg = isa.RegByName(s)
+		if !o.isReg {
+			o.err, o.bad = errReg, p.badText(s)
+		}
+	case fRegOrExpr:
+		if o.reg, o.isReg = isa.RegByName(s); !o.isReg {
+			o.x, o.lit, o.err, o.bad = p.parseExpr(s)
+		}
+	case fExpr:
+		o.x, o.lit, o.err, o.bad = p.parseExpr(s)
+	case fMem:
+		open := strings.LastIndexByte(s, '(')
+		if open < 0 || !strings.HasSuffix(s, ")") {
+			o.err, o.bad = errMem, p.badText(s)
+			break
+		}
+		inner := s[open+1 : len(s)-1]
+		r, ok := isa.RegByName(trim(inner))
+		if !ok {
+			o.err, o.bad = errReg, p.badText(inner)
+			break
+		}
+		o.reg = r
+		if off := trim(s[:open]); off != "" {
+			o.x, o.lit, o.err, o.bad = p.parseExpr(off)
+		} else {
+			o.lit = true
+		}
+	case fROAddr:
+		if len(s) < 2 || s[0] != '(' || s[len(s)-1] != ')' {
+			o.err, o.bad = errROAddr, p.badText(s)
+			break
+		}
+		inner := s[1 : len(s)-1]
+		r, ok := isa.RegByName(trim(inner))
+		if !ok {
+			o.err, o.bad = errReg, p.badText(inner)
+		}
+		o.reg = r
+	case fKey, fCSR:
+		// Keys and CSR numbers are strconv.ParseUint(s, 0, 16 or 12)
+		// values; lit keeps the signed parse the RVC path accepts.
+		v, ok := parseInt(s)
+		o.x.off, o.lit = v, ok
+		limit, e := int64(isa.MaxKey), errKey
+		if f == fCSR {
+			limit, e = 1<<12-1, errCSR
+		}
+		if !ok || s[0] < '0' || s[0] > '9' || v > limit {
+			o.err, o.bad = e, p.badText(s)
+		}
+	}
 }
 
 // literalInst builds an isa.Inst for a mnemonic whose operands are all
 // registers or integer literals (no symbols), the precondition for
 // attempting an RVC encoding at parse time. Only the forms the code
 // generator emits frequently are recognized.
-func literalInst(op string, operands []string) (isa.Inst, bool) {
-	reg := func(s string) (isa.Reg, bool) { return isa.RegByName(strings.TrimSpace(s)) }
-	lit := func(s string) (int64, bool) {
-		v, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)
-		return v, err == nil
+func (p *parser) literalInst(m *mnemonic, texts []string, ops []operand) (isa.Inst, bool) {
+	n := len(texts)
+	regs := func(k int) bool {
+		for i := 0; i < k; i++ {
+			if ops[i].err != opOK || !ops[i].isReg {
+				return false
+			}
+		}
+		return true
 	}
-	mem := func(s string) (int64, isa.Reg, bool) {
-		s = strings.TrimSpace(s)
-		open := strings.LastIndex(s, "(")
-		if open < 0 || !strings.HasSuffix(s, ")") {
-			return 0, 0, false
-		}
-		r, ok := reg(s[open+1 : len(s)-1])
-		if !ok {
-			return 0, 0, false
-		}
-		if open == 0 {
-			return 0, r, true
-		}
-		off, ok := lit(s[:open])
-		return off, r, ok
-	}
-	switch op {
+	intLit := func(o *operand) bool { return o.err == opOK && !o.isReg && o.lit }
+	switch m.name {
 	case "ld.ro":
-		if len(operands) != 3 {
+		if n != 3 || !regs(1) {
 			return isa.Inst{}, false
 		}
-		rd, ok1 := reg(operands[0])
-		off, rs1, ok2 := mem(operands[1])
-		key, ok3 := lit(operands[2])
-		if !ok1 || !ok2 || !ok3 || off != 0 || key < 0 || key > isa.MaxKey {
+		// The RVC form takes the address as an off(reg) literal with a
+		// zero offset, which (reg) alone does not cover.
+		var mem operand
+		p.parseOperand(&mem, fMem, texts[1])
+		key := ops[2].x.off
+		if !intLit(&mem) || mem.x.off != 0 || !ops[2].lit || key < 0 || key > isa.MaxKey {
 			return isa.Inst{}, false
 		}
-		return isa.Inst{Op: isa.LDRO, Rd: rd, Rs1: rs1, Key: uint16(key)}, true
+		return isa.Inst{Op: isa.LDRO, Rd: ops[0].reg, Rs1: mem.reg, Key: uint16(key)}, true
 	case "ld", "lw", "sd", "sw":
-		if len(operands) != 2 {
+		if n != 2 || !regs(1) || !intLit(&ops[1]) {
 			return isa.Inst{}, false
 		}
-		iop, _ := isa.OpByName(op)
-		off, rs1, ok2 := mem(operands[1])
-		r, ok1 := reg(operands[0])
-		if !ok1 || !ok2 {
-			return isa.Inst{}, false
+		if m.op.IsStore() {
+			return isa.Inst{Op: m.op, Rs1: ops[1].reg, Rs2: ops[0].reg, Imm: ops[1].x.off}, true
 		}
-		if iop.IsStore() {
-			return isa.Inst{Op: iop, Rs1: rs1, Rs2: r, Imm: off}, true
-		}
-		return isa.Inst{Op: iop, Rd: r, Rs1: rs1, Imm: off}, true
+		return isa.Inst{Op: m.op, Rd: ops[0].reg, Rs1: ops[1].reg, Imm: ops[1].x.off}, true
 	case "addi", "addiw", "slli":
-		if len(operands) != 3 {
+		if n != 3 || !regs(2) || !intLit(&ops[2]) {
 			return isa.Inst{}, false
 		}
-		iop, _ := isa.OpByName(op)
-		rd, ok1 := reg(operands[0])
-		rs1, ok2 := reg(operands[1])
-		imm, ok3 := lit(operands[2])
-		if !ok1 || !ok2 || !ok3 {
-			return isa.Inst{}, false
-		}
-		return isa.Inst{Op: iop, Rd: rd, Rs1: rs1, Imm: imm}, true
+		return isa.Inst{Op: m.op, Rd: ops[0].reg, Rs1: ops[1].reg, Imm: ops[2].x.off}, true
 	case "add":
-		if len(operands) != 3 {
+		if n != 3 || !regs(3) {
 			return isa.Inst{}, false
 		}
-		rd, ok1 := reg(operands[0])
-		rs1, ok2 := reg(operands[1])
-		rs2, ok3 := reg(operands[2])
-		if !ok1 || !ok2 || !ok3 {
-			return isa.Inst{}, false
-		}
-		return isa.Inst{Op: isa.ADD, Rd: rd, Rs1: rs1, Rs2: rs2}, true
+		return isa.Inst{Op: isa.ADD, Rd: ops[0].reg, Rs1: ops[1].reg, Rs2: ops[2].reg}, true
 	case "mv":
-		if len(operands) != 2 {
-			return isa.Inst{}, false
-		}
-		rd, ok1 := reg(operands[0])
-		rs2, ok2 := reg(operands[1])
-		if !ok1 || !ok2 {
+		if n != 2 || !regs(2) {
 			return isa.Inst{}, false
 		}
 		// c.mv encodes as add rd, x0, rs2.
-		return isa.Inst{Op: isa.ADD, Rd: rd, Rs1: isa.Zero, Rs2: rs2}, true
+		return isa.Inst{Op: isa.ADD, Rd: ops[0].reg, Rs1: isa.Zero, Rs2: ops[1].reg}, true
 	case "li":
-		if len(operands) != 2 {
+		if n != 2 || !regs(1) || !intLit(&ops[1]) {
 			return isa.Inst{}, false
 		}
-		rd, ok1 := reg(operands[0])
-		imm, ok2 := lit(operands[1])
-		if !ok1 || !ok2 {
-			return isa.Inst{}, false
-		}
-		return isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: isa.Zero, Imm: imm}, true
+		return isa.Inst{Op: isa.ADDI, Rd: ops[0].reg, Rs1: isa.Zero, Imm: ops[1].x.off}, true
 	case "ret":
-		if len(operands) != 0 {
+		if n != 0 {
 			return isa.Inst{}, false
 		}
 		return isa.Inst{Op: isa.JALR, Rd: isa.Zero, Rs1: isa.RA}, true
 	case "jr":
-		if len(operands) != 1 {
+		if n != 1 || !regs(1) {
 			return isa.Inst{}, false
 		}
-		rs, ok := reg(operands[0])
-		if !ok {
-			return isa.Inst{}, false
-		}
-		return isa.Inst{Op: isa.JALR, Rd: isa.Zero, Rs1: rs}, true
+		return isa.Inst{Op: isa.JALR, Rd: isa.Zero, Rs1: ops[0].reg}, true
 	}
 	return isa.Inst{}, false
 }
 
-// branchStmt canonicalizes conditional-branch mnemonics (real and
-// pseudo) so the linker can relax out-of-range ones.
-func (p *parser) branchStmt(op string, operands []string) (*branchStmt, bool, error) {
-	reg := func(s string) (isa.Reg, error) {
-		r, ok := isa.RegByName(strings.TrimSpace(s))
-		if !ok {
-			return 0, p.errf("bad register %q", s)
-		}
-		return r, nil
-	}
-	build := func(iop isa.Op, rs1, rs2 string, target string) (*branchStmt, bool, error) {
-		r1, err := reg(rs1)
-		if err != nil {
-			return nil, false, err
-		}
-		r2, err := reg(rs2)
-		if err != nil {
-			return nil, false, err
-		}
-		tgt, err := p.parseExpr(target)
-		if err != nil {
-			return nil, false, err
-		}
-		return &branchStmt{op: iop, rs1: r1, rs2: r2, target: tgt}, true, nil
-	}
-	need := func(n int) error {
-		if len(operands) != n {
-			return p.errf("%s needs %d operands, got %d", op, n, len(operands))
-		}
-		return nil
-	}
-	switch op {
-	case "beq", "bne", "blt", "bge", "bltu", "bgeu":
-		if err := need(3); err != nil {
-			return nil, false, err
-		}
-		iop, _ := isa.OpByName(op)
-		return build(iop, operands[0], operands[1], operands[2])
-	case "bgt", "ble", "bgtu", "bleu":
-		if err := need(3); err != nil {
-			return nil, false, err
-		}
-		swap := map[string]isa.Op{"bgt": isa.BLT, "ble": isa.BGE, "bgtu": isa.BLTU, "bleu": isa.BGEU}
-		return build(swap[op], operands[1], operands[0], operands[2])
-	case "beqz", "bnez", "blez", "bgez", "bltz", "bgtz":
-		if err := need(2); err != nil {
-			return nil, false, err
-		}
-		switch op {
-		case "beqz":
-			return build(isa.BEQ, operands[0], "zero", operands[1])
-		case "bnez":
-			return build(isa.BNE, operands[0], "zero", operands[1])
-		case "blez":
-			return build(isa.BGE, "zero", operands[0], operands[1])
-		case "bgez":
-			return build(isa.BGE, operands[0], "zero", operands[1])
-		case "bltz":
-			return build(isa.BLT, operands[0], "zero", operands[1])
-		case "bgtz":
-			return build(isa.BLT, "zero", operands[0], operands[1])
-		}
-	}
-	return nil, false, nil
-}
-
-// instSize returns the encoded size of an instruction or pseudo. All
-// real instructions are 4 bytes; pseudo-instructions expand to a fixed
-// number of real ones determined here (pass 1 must know final sizes).
-func (p *parser) instSize(op string, operands []string) (uint64, error) {
-	switch op {
-	case "li":
-		if len(operands) != 2 {
-			return 0, p.errf("li needs 2 operands")
-		}
-		e, err := p.parseExpr(operands[1])
-		if err != nil {
-			return 0, err
-		}
-		if e.Sym != "" {
-			return 8, nil // lui+addi
-		}
-		return uint64(4 * len(materializeImm(0, e.Off, false))), nil
-	case "la":
-		return 8, nil // lui+addi
-	case "call", "tail":
-		return 4, nil // jal
-	case "lw.at", "ld.at", "sb.at", "sh.at", "sw.at", "sd.at":
-		return 12, nil // la + access
-	default:
-		return 4, nil
-	}
-}
-
-// parseExpr parses an integer, symbol, symbol+int, symbol-int,
-// %hi(expr) or %lo(expr).
-func (p *parser) parseExpr(s string) (expr, error) {
-	s = strings.TrimSpace(s)
+// parseExpr parses a trimmed integer, symbol, symbol+int, symbol-int,
+// %hi(expr) or %lo(expr). lit reports a plain integer in
+// strconv.ParseInt syntax; on failure e and bad (an index into
+// parser.bad) describe the error.
+func (p *parser) parseExpr(s string) (x expr, lit bool, e opErr, bad int32) {
 	if s == "" {
-		return expr{}, p.errf("empty expression")
+		return expr{}, false, errEmpty, p.badText("")
 	}
-	if strings.HasPrefix(s, "%hi(") && strings.HasSuffix(s, ")") {
-		e, err := p.parseExpr(s[4 : len(s)-1])
-		if err != nil {
-			return expr{}, err
+	if s[len(s)-1] == ')' {
+		if strings.HasPrefix(s, "%hi(") {
+			x, _, e, bad = p.parseExpr(trim(s[4 : len(s)-1]))
+			x.hi = true
+			return x, false, e, bad
 		}
-		e.Hi = true
-		return e, nil
-	}
-	if strings.HasPrefix(s, "%lo(") && strings.HasSuffix(s, ")") {
-		e, err := p.parseExpr(s[4 : len(s)-1])
-		if err != nil {
-			return expr{}, err
+		if strings.HasPrefix(s, "%lo(") {
+			x, _, e, bad = p.parseExpr(trim(s[4 : len(s)-1]))
+			x.lo = true
+			return x, false, e, bad
 		}
-		e.Lo = true
-		return e, nil
 	}
-	if v, err := strconv.ParseInt(s, 0, 64); err == nil {
-		return expr{Off: v}, nil
+	if v, ok := parseInt(s); ok {
+		return expr{off: v}, true, opOK, 0
 	}
 	// Unsigned hex like 0xffffffffffffffff.
-	if v, err := strconv.ParseUint(s, 0, 64); err == nil {
-		return expr{Off: int64(v)}, nil
+	if v, ok := parseUint(s); ok {
+		return expr{off: int64(v)}, false, opOK, 0
 	}
 	if s[0] == '\'' { // character literal
 		if uq, err := strconv.Unquote(s); err == nil && len(uq) == 1 {
-			return expr{Off: int64(uq[0])}, nil
+			return expr{off: int64(uq[0])}, false, opOK, 0
 		}
 	}
 	// symbol [+|- offset]
 	for i := 1; i < len(s); i++ {
 		if s[i] == '+' || s[i] == '-' {
-			sym := strings.TrimSpace(s[:i])
+			sym := trim(s[:i])
 			if !isIdent(sym) {
 				break
 			}
-			off, err := strconv.ParseInt(strings.TrimSpace(s[i+1:]), 0, 64)
-			if err != nil {
-				return expr{}, p.errf("bad offset in %q", s)
+			off, ok := parseInt(trim(s[i+1:]))
+			if !ok {
+				return expr{}, false, errOffset, p.badText(s)
 			}
 			if s[i] == '-' {
 				off = -off
 			}
-			return expr{Sym: sym, Off: off}, nil
+			return expr{sym: p.intern(sym), off: off}, false, opOK, 0
 		}
 	}
 	if isIdent(s) {
-		return expr{Sym: s}, nil
+		return expr{sym: p.intern(s)}, false, opOK, 0
 	}
-	return expr{}, p.errf("cannot parse expression %q", s)
+	return expr{}, false, errExpr, p.badText(s)
+}
+
+// parseInt is strconv.ParseInt(s, 0, 64) reporting only success. Plain
+// decimal, all the code generator emits, is converted inline; text that
+// cannot be a number is refused without building strconv's error.
+func parseInt(s string) (int64, bool) {
+	d := s
+	if d != "" && (d[0] == '+' || d[0] == '-') {
+		d = d[1:]
+	}
+	if d == "" || d[0] < '0' || d[0] > '9' {
+		return 0, false
+	}
+	// Plain decimal of up to 18 digits cannot overflow.
+	if len(d) <= 18 && (d[0] != '0' || len(d) == 1) {
+		var v int64
+		i := 0
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			v = v*10 + int64(d[i]-'0')
+		}
+		if i == len(d) {
+			if s[0] == '-' {
+				v = -v
+			}
+			return v, true
+		}
+	}
+	if !numberLike(d) {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(s, 0, 64)
+	return v, err == nil
+}
+
+// parseUint is strconv.ParseUint(s, 0, 64) reporting only success.
+func parseUint(s string) (uint64, bool) {
+	if s == "" || s[0] < '0' || s[0] > '9' || !numberLike(s) {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(s, 0, 64)
+	return v, err == nil
+}
+
+// numberLike reports whether s holds only bytes an integer literal can
+// contain (digits, letters for base prefixes and hex, underscores).
+func numberLike(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= '0' && c <= '9' || c|0x20 >= 'a' && c|0x20 <= 'z' || c == '_') {
+			return false
+		}
+	}
+	return true
 }

@@ -63,15 +63,34 @@ func (l Line) render(b *strings.Builder) {
 	}
 	b.WriteString("\t")
 	b.WriteString(l.Op)
-	if len(l.Args) > 0 {
-		b.WriteString(" ")
-		b.WriteString(strings.Join(l.Args, ", "))
+	for i, a := range l.Args {
+		if i == 0 {
+			b.WriteString(" ")
+		} else {
+			b.WriteString(", ")
+		}
+		b.WriteString(a)
 	}
 	if l.Comment != "" {
 		b.WriteString("\t# ")
 		b.WriteString(l.Comment)
 	}
 	b.WriteString("\n")
+}
+
+// renderedLen is the number of bytes render writes for l.
+func (l Line) renderedLen() int {
+	if l.Label != "" {
+		return len(l.Label) + 2
+	}
+	n := 1 + len(l.Op) + 1
+	for _, a := range l.Args {
+		n += 2 + len(a) // " " or ", " before each argument
+	}
+	if l.Comment != "" {
+		n += 3 + len(l.Comment)
+	}
+	return n
 }
 
 // MFunc is one compiled function.
@@ -155,6 +174,7 @@ const (
 // the fixed runtime (entry point, allocator, output routines).
 func (u *Unit) Assembly() string {
 	var b strings.Builder
+	b.Grow(u.assemblyLen())
 	b.WriteString("# generated by the roload MiniC compiler\n")
 	b.WriteString("\t.text\n")
 	for _, f := range u.Funcs {
@@ -236,6 +256,42 @@ func (u *Unit) Assembly() string {
 		}
 	}
 	return b.String()
+}
+
+// assemblyLen bounds the length of Assembly's output closely enough to
+// size its buffer once: it sums the rendered lines and allows for the
+// fixed text and the section headers.
+func (u *Unit) assemblyLen() int {
+	n := 512 + len(runtimeAsmRetGuard)
+	if len(runtimeAsm) > len(runtimeAsmRetGuard) {
+		n = 512 + len(runtimeAsm)
+	}
+	for _, f := range u.Funcs {
+		n += 1 + len(f.Name) + 2
+		for _, l := range f.Lines {
+			n += l.renderedLen()
+		}
+	}
+	for _, lines := range [][]Line{u.RoData, u.Data, u.Bss} {
+		for _, l := range lines {
+			n += l.renderedLen()
+		}
+	}
+	for _, vt := range u.VTables {
+		n += len(vt.Symbol) + 2
+		for _, m := range vt.Slots {
+			n += len(m) + len("\t.quad \n")
+		}
+	}
+	for _, g := range u.GFPTs {
+		n += len(g.Symbol) + 2 + len(g.Target) + len("\t.quad \n") + len("\n\t.section .rodata.key.65535\n")
+	}
+	if u.RetGuard != nil {
+		for _, l := range u.RetGuard.Sites {
+			n += l.renderedLen()
+		}
+	}
+	return n
 }
 
 // CountMeta tallies metadata kinds (tests and reporting).

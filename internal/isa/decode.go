@@ -56,10 +56,14 @@ func f7Code(f7 uint32) int {
 
 func init() {
 	for op, spec := range rOps {
-		rOpByFunct[spec.f3][f7Code(spec.f7)] = op
+		if spec.ok {
+			rOpByFunct[spec.f3][f7Code(spec.f7)] = Op(op)
+		}
 	}
 	for op, spec := range rwOps {
-		rwOpByFunct[spec.f3][f7Code(spec.f7)] = op
+		if spec.ok {
+			rwOpByFunct[spec.f3][f7Code(spec.f7)] = Op(op)
+		}
 	}
 }
 

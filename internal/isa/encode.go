@@ -72,42 +72,49 @@ func encJ(opc uint32, rd Reg, imm int64) uint32 {
 		uint32(rd)<<7 | opc
 }
 
-type rSpec struct{ f3, f7 uint32 }
+// The encode tables are indexed by Op, so Encode does no map lookups.
 
-var rOps = map[Op]rSpec{
-	ADD: {0, 0x00}, SUB: {0, 0x20}, SLL: {1, 0x00}, SLT: {2, 0x00},
-	SLTU: {3, 0x00}, XOR: {4, 0x00}, SRL: {5, 0x00}, SRA: {5, 0x20},
-	OR: {6, 0x00}, AND: {7, 0x00},
-	MUL: {0, 0x01}, MULH: {1, 0x01}, MULHSU: {2, 0x01}, MULHU: {3, 0x01},
-	DIV: {4, 0x01}, DIVU: {5, 0x01}, REM: {6, 0x01}, REMU: {7, 0x01},
+// rSpec is the funct3/funct7 pair of a register-register opcode; ok
+// marks the opcodes the table defines.
+type rSpec struct {
+	f3, f7 uint32
+	ok     bool
 }
 
-var rwOps = map[Op]rSpec{
-	ADDW: {0, 0x00}, SUBW: {0, 0x20}, SLLW: {1, 0x00},
-	SRLW: {5, 0x00}, SRAW: {5, 0x20},
-	MULW: {0, 0x01}, DIVW: {4, 0x01}, DIVUW: {5, 0x01},
-	REMW: {6, 0x01}, REMUW: {7, 0x01},
+var rOps = [numOps]rSpec{
+	ADD: {0, 0x00, true}, SUB: {0, 0x20, true}, SLL: {1, 0x00, true}, SLT: {2, 0x00, true},
+	SLTU: {3, 0x00, true}, XOR: {4, 0x00, true}, SRL: {5, 0x00, true}, SRA: {5, 0x20, true},
+	OR: {6, 0x00, true}, AND: {7, 0x00, true},
+	MUL: {0, 0x01, true}, MULH: {1, 0x01, true}, MULHSU: {2, 0x01, true}, MULHU: {3, 0x01, true},
+	DIV: {4, 0x01, true}, DIVU: {5, 0x01, true}, REM: {6, 0x01, true}, REMU: {7, 0x01, true},
 }
 
-var loadF3 = map[Op]uint32{
+var rwOps = [numOps]rSpec{
+	ADDW: {0, 0x00, true}, SUBW: {0, 0x20, true}, SLLW: {1, 0x00, true},
+	SRLW: {5, 0x00, true}, SRAW: {5, 0x20, true},
+	MULW: {0, 0x01, true}, DIVW: {4, 0x01, true}, DIVUW: {5, 0x01, true},
+	REMW: {6, 0x01, true}, REMUW: {7, 0x01, true},
+}
+
+var loadF3 = [numOps]uint32{
 	LB: 0, LH: 1, LW: 2, LD: 3, LBU: 4, LHU: 5, LWU: 6,
 }
 
-var roLoadF3 = map[Op]uint32{
+var roLoadF3 = [numOps]uint32{
 	LBRO: 0, LHRO: 1, LWRO: 2, LDRO: 3,
 }
 
-var storeF3 = map[Op]uint32{SB: 0, SH: 1, SW: 2, SD: 3}
+var storeF3 = [numOps]uint32{SB: 0, SH: 1, SW: 2, SD: 3}
 
-var branchF3 = map[Op]uint32{
+var branchF3 = [numOps]uint32{
 	BEQ: 0, BNE: 1, BLT: 4, BGE: 5, BLTU: 6, BGEU: 7,
 }
 
-var immALUF3 = map[Op]uint32{
+var immALUF3 = [numOps]uint32{
 	ADDI: 0, SLTI: 2, SLTIU: 3, XORI: 4, ORI: 6, ANDI: 7,
 }
 
-var csrF3 = map[Op]uint32{CSRRW: 1, CSRRS: 2, CSRRC: 3}
+var csrF3 = [numOps]uint32{CSRRW: 1, CSRRS: 2, CSRRC: 3}
 
 // Encode produces the 32-bit binary encoding of in. Compressed (16-bit)
 // encoding is handled separately by EncodeCompressed.
@@ -195,7 +202,7 @@ func Encode(in Inst) (uint32, error) {
 		}
 		return encI(opcOpImmW, 0, in.Rd, in.Rs1, in.Imm), nil
 
-	case immALUF3[op] != 0 || op == ADDI:
+	case op == ADDI || op < numOps && immALUF3[op] != 0:
 		if !fitsSigned(in.Imm, 12) {
 			return 0, &EncodeError{op, "imm", in.Imm, "must fit 12 bits"}
 		}
@@ -208,19 +215,17 @@ func Encode(in Inst) (uint32, error) {
 	case op == FENCE:
 		return encI(opcFence, 0, 0, 0, 0x0ff), nil
 
-	case csrF3[op] != 0:
+	case op < numOps && csrF3[op] != 0:
 		if in.Imm < 0 || in.Imm > 0xfff {
 			return 0, &EncodeError{op, "csr", in.Imm, "must fit 12 bits unsigned"}
 		}
 		return encI(opcSystem, csrF3[op], in.Rd, in.Rs1, in.Imm), nil
 
+	case op < numOps && rOps[op].ok:
+		return encR(opcOp, rOps[op].f3, rOps[op].f7, in.Rd, in.Rs1, in.Rs2), nil
+	case op < numOps && rwOps[op].ok:
+		return encR(opcOpW, rwOps[op].f3, rwOps[op].f7, in.Rd, in.Rs1, in.Rs2), nil
 	default:
-		if spec, ok := rOps[op]; ok {
-			return encR(opcOp, spec.f3, spec.f7, in.Rd, in.Rs1, in.Rs2), nil
-		}
-		if spec, ok := rwOps[op]; ok {
-			return encR(opcOpW, spec.f3, spec.f7, in.Rd, in.Rs1, in.Rs2), nil
-		}
 		return 0, &EncodeError{op, "op", int64(op), "unknown opcode"}
 	}
 }

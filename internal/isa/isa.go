@@ -69,20 +69,70 @@ func (r Reg) String() string {
 	return fmt.Sprintf("x%d", uint8(r))
 }
 
-// RegByName resolves an ABI name ("a0") or numeric name ("x10") to a
-// register number.
+// RegByName resolves an ABI name ("a0"), the alias "fp", or a canonical
+// numeric name ("x10": decimal, no sign, no leading zero, nothing after
+// the number) to a register number. It decodes the name by hand, since
+// the assembler calls it for every register operand.
 func RegByName(name string) (Reg, bool) {
-	for i, n := range regNames {
-		if n == name {
-			return Reg(i), true
+	switch len(name) {
+	case 2:
+		c, d := name[1], name[1]-'0'
+		switch name[0] {
+		case 'x':
+			if d <= 9 {
+				return Reg(d), true
+			}
+		case 'a':
+			if d <= 7 {
+				return A0 + Reg(d), true
+			}
+		case 's':
+			switch {
+			case d <= 1:
+				return S0 + Reg(d), true
+			case d <= 9:
+				return S2 + Reg(d-2), true
+			case c == 'p':
+				return SP, true
+			}
+		case 't':
+			switch {
+			case d <= 2:
+				return T0 + Reg(d), true
+			case d <= 6:
+				return T3 + Reg(d-3), true
+			case c == 'p':
+				return TP, true
+			}
+		case 'r':
+			if c == 'a' {
+				return RA, true
+			}
+		case 'g':
+			if c == 'p' {
+				return GP, true
+			}
+		case 'f':
+			if c == 'p' {
+				return S0, true
+			}
 		}
-	}
-	if name == "fp" {
-		return S0, true
-	}
-	var n int
-	if _, err := fmt.Sscanf(name, "x%d", &n); err == nil && n >= 0 && n < NumRegs {
-		return Reg(n), true
+	case 3:
+		d1, d2 := name[1]-'0', name[2]-'0'
+		switch name[0] {
+		case 'x':
+			if d1 >= 1 && d1 <= 3 && d2 <= 9 && d1*10+d2 < NumRegs {
+				return Reg(d1*10 + d2), true
+			}
+		case 's':
+			if d1 == 1 && d2 <= 1 {
+				return S10 + Reg(d2), true
+			}
+		}
+	case 4:
+		if name == "zero" {
+			return Zero, true
+		}
 	}
 	return 0, false
 }

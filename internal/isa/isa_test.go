@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +35,53 @@ func TestRegNames(t *testing.T) {
 	}
 	if _, ok := RegByName("x32"); ok {
 		t.Error("RegByName(x32) succeeded")
+	}
+}
+
+// TestRegByNameSpellings pins exactly which spellings name a register:
+// the ABI names, fp, and canonical x0-x31; nothing that merely starts
+// like a numeric name.
+func TestRegByNameSpellings(t *testing.T) {
+	cases := []struct {
+		name string
+		r    Reg
+		ok   bool
+	}{
+		{"zero", Zero, true}, {"ra", RA, true}, {"sp", SP, true}, {"gp", GP, true},
+		{"tp", TP, true}, {"t0", T0, true}, {"t2", T2, true}, {"s0", S0, true},
+		{"fp", S0, true}, {"s1", S1, true}, {"a0", A0, true}, {"a7", A7, true},
+		{"s2", S2, true}, {"s11", S11, true}, {"t3", T3, true}, {"t6", T6, true},
+		{"x0", Zero, true}, {"x9", S1, true}, {"x10", A0, true}, {"x19", S3, true},
+		{"x20", S4, true}, {"x29", T4, true}, {"x30", T5, true}, {"x31", T6, true},
+		{"", 0, false}, {"x", 0, false}, {"x32", 0, false}, {"x39", 0, false},
+		{"x40", 0, false}, {"x99", 0, false}, {"x100", 0, false},
+		{"x00", 0, false}, {"x01", 0, false}, {"x010", 0, false},
+		{"x+5", 0, false}, {"x-1", 0, false}, {"x 5", 0, false},
+		{"x10abc", 0, false}, {"x2junk", 0, false}, {"x1 ", 0, false}, {"x1a", 0, false},
+		{"X1", 0, false}, {"A0", 0, false}, {"a8", 0, false}, {"s12", 0, false},
+		{"t7", 0, false}, {" a0", 0, false}, {"a0 ", 0, false}, {"fp0", 0, false},
+		{"zero1", 0, false}, {"pc", 0, false},
+	}
+	for _, c := range cases {
+		r, ok := RegByName(c.name)
+		if ok != c.ok || (ok && r != c.r) {
+			t.Errorf("RegByName(%q) = %v,%v, want %v,%v", c.name, r, ok, c.r, c.ok)
+		}
+	}
+	for i := 0; i < NumRegs; i++ {
+		if r, ok := RegByName("x" + strconv.Itoa(i)); !ok || r != Reg(i) {
+			t.Errorf("RegByName(x%d) = %v,%v", i, r, ok)
+		}
+		if r, ok := RegByName(Reg(i).String()); !ok || r != Reg(i) {
+			t.Errorf("RegByName(%s) = %v,%v", Reg(i), r, ok)
+		}
+	}
+}
+
+func BenchmarkRegByName(b *testing.B) {
+	names := []string{"a0", "sp", "s11", "x17", "fp", "t6", "zero", "bogus"}
+	for i := 0; i < b.N; i++ {
+		RegByName(names[i%len(names)])
 	}
 }
 

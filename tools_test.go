@@ -376,6 +376,28 @@ func TestPerfModuleBuilds(t *testing.T) {
 	}
 }
 
+// TestMicroBenchmarksRun runs every micro-benchmark of the assembler
+// and the simulator's hot packages once. go test ./... compiles
+// benchmarks but never executes their bodies, so a benchmark whose
+// setup breaks would otherwise go unnoticed until someone measures.
+func TestMicroBenchmarksRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns toolchain")
+	}
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x",
+		"./internal/asm", "./internal/isa", "./internal/cpu", "./internal/cache", "./internal/mmu")
+	cmd.Env = os.Environ()
+	msg, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go test -bench: %v\n%s", err, msg)
+	}
+	for _, want := range []string{"BenchmarkAssembleSpec", "BenchmarkRegByName"} {
+		if !strings.Contains(string(msg), want) {
+			t.Errorf("benchmark %s did not run:\n%s", want, msg)
+		}
+	}
+}
+
 // TestCLIFlagSpelling pins the shared internal/cli flag contract
 // across the tools: -sys is an alias of -system, and every unknown
 // -system/-sys/-harden value exits 2 naming the known values.
