@@ -57,7 +57,6 @@ type class uint8
 
 const (
 	clsUnknown class = iota // not an instruction (reported by the encoder)
-	clsAt                   // lw.at and friends: sized, never encodable
 	clsNop
 	clsRet
 	clsSys    // ecall, ebreak, fence: operands ignored
@@ -86,7 +85,8 @@ type mnemonic struct {
 	// rd is the link register of j/call/tail.
 	rd isa.Reg
 	// A unary pseudo encodes as "op rd, rs, imm", or as
-	// "op rd, zero, rs" when rtype is set.
+	// "op rd, zero, rs" when rtype is set. An ALU mnemonic takes a
+	// register third operand when rtype is set, else an immediate.
 	imm   int64
 	rtype bool
 	// Branches: operand count, and which operand is rs1/rs2 (-1 for
@@ -124,7 +124,7 @@ var mnemonicTable = func() []mnemonic {
 		case op == isa.CSRRW || op == isa.CSRRS || op == isa.CSRRC:
 			e.class = clsCSR
 		default:
-			e.class = clsALU
+			e.class, e.rtype = clsALU, op.IsRType()
 		}
 		t = append(t, e)
 	}
@@ -154,12 +154,6 @@ var mnemonicTable = func() []mnemonic {
 		mnemonic{name: "bgez", class: clsBranch, op: isa.BGE, nops: 2, rs1: 0, rs2: -1},
 		mnemonic{name: "bltz", class: clsBranch, op: isa.BLT, nops: 2, rs1: 0, rs2: -1},
 		mnemonic{name: "bgtz", class: clsBranch, op: isa.BLT, nops: 2, rs1: -1, rs2: 0},
-		mnemonic{name: "lw.at", class: clsAt},
-		mnemonic{name: "ld.at", class: clsAt},
-		mnemonic{name: "sb.at", class: clsAt},
-		mnemonic{name: "sh.at", class: clsAt},
-		mnemonic{name: "sw.at", class: clsAt},
-		mnemonic{name: "sd.at", class: clsAt},
 	)
 	for i := range t {
 		switch t[i].name {
@@ -465,14 +459,19 @@ func (e *encoder) eval(x expr) (int64, error) {
 		}
 		v += int64(sym.addr)
 	}
-	if x.hi {
-		return (v + 0x800) &^ 0xfff, nil
+	return x.apply(v), nil
+}
+
+// apply returns v, the resolved value of x, with x's %hi or %lo
+// applied.
+func (x expr) apply(v int64) int64 {
+	switch upper := (v + 0x800) &^ 0xfff; {
+	case x.hi:
+		return upper
+	case x.lo:
+		return v - upper
 	}
-	if x.lo {
-		upper := (v + 0x800) &^ 0xfff
-		return v - upper, nil
-	}
-	return v, nil
+	return v
 }
 
 // check reports an operand's pass-1 lexing error.
@@ -687,11 +686,17 @@ func (e *encoder) encodeInst(st *stmt, pc uint64) error {
 			return err
 		}
 		if ops[2].isReg {
+			if !m.rtype {
+				return e.errf("%s expected immediate as third operand, got register %s", e.name(st), ops[2].reg)
+			}
 			return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: rs1, Rs2: ops[2].reg})
 		}
 		v, err := e.value(st, &ops[2])
 		if err != nil {
 			return err
+		}
+		if m.rtype {
+			return e.errf("%s expected register as third operand, got value %d", e.name(st), v)
 		}
 		return e.emit(isa.Inst{Op: m.op, Rd: rd, Rs1: rs1, Imm: v})
 	}

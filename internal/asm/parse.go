@@ -549,12 +549,10 @@ func (p *parser) instruction(line string) error {
 			size = 8 // lui+addiw
 		} else {
 			var buf [maxImmInsts]isa.Inst
-			size = uint64(4 * len(materializeImm(buf[:0], 0, x.x.off, false)))
+			size = uint64(4 * len(materializeImm(buf[:0], 0, x.x.apply(x.x.off), false)))
 		}
 	case clsLa:
 		size = 8 // lui+addiw
-	case clsAt:
-		size = 12 // la + access
 	}
 	if mi == 0 {
 		first = int(p.badText(name))

@@ -129,10 +129,8 @@ func (b *Block) Terminator() (Inst, bool) {
 	return Inst{}, false
 }
 
-// MaxInsts caps block length. Long straight-line runs split into
-// chained blocks; the cap bounds the budget-fit check's granularity
-// (the engine enters a block only when the whole block fits the
-// remaining instruction budget, single-stepping otherwise).
+// MaxInsts caps block length (and so the per-block lowering cost).
+// Long straight-line runs split into chained blocks.
 const MaxInsts = 128
 
 // classify maps an opcode to its class and whether it may start or

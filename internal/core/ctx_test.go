@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"roload/internal/cpu"
 	"roload/internal/kernel"
 )
 
@@ -72,28 +74,48 @@ func TestRunWithStepLimit(t *testing.T) {
 // TestCancellationPreservesObservables: the context machinery must
 // never change the simulated observables of a run that completes —
 // whatever the poll stride, and whether or not a (never-fired) ctx is
-// attached. This is the DESIGN.md cancellation invariant.
+// attached. The whole RunResult and the final core state (registers,
+// counters, TLB and cache contents) must match the unpolled run's.
+// This is the DESIGN.md cancellation invariant.
 func TestCancellationPreservesObservables(t *testing.T) {
 	img, _, err := Build(prog, HardenICall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := RunWith(context.Background(), img, SysFull, RunOptions{MaxSteps: 10_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, stride := range []uint64{1, 7, 64, 100_000} {
-		res, _, err := RunWith(ctx, img, SysFull, RunOptions{MaxSteps: 10_000_000, CancelEvery: stride})
+	run := func(ctx context.Context, stride uint64) (kernel.RunResult, cpu.State) {
+		t.Helper()
+		cfg := SysFull.Config()
+		cfg.MaxSteps, cfg.CancelEvery = 10_000_000, stride
+		machine := kernel.NewSystem(cfg)
+		p, err := machine.Spawn(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := machine.RunContext(ctx, p)
 		if err != nil {
 			t.Fatalf("stride %d: %v", stride, err)
 		}
-		if res.Cycles != base.Cycles || res.Instret != base.Instret ||
-			res.MemPeakKiB != base.MemPeakKiB || string(res.Stdout) != string(base.Stdout) ||
-			res.Code != base.Code {
-			t.Errorf("stride %d changed observables: %+v vs %+v", stride, res, base)
+		return res, machine.CPU().State()
+	}
+	base, baseState := run(context.Background(), 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, stride := range []uint64{1, 7, 64, 997, 100_000} {
+		res, state := run(ctx, stride)
+		if !reflect.DeepEqual(res, base) {
+			t.Errorf("stride %d changed the run result: %+v vs %+v", stride, res, base)
 		}
+		if !reflect.DeepEqual(state, baseState) {
+			t.Errorf("stride %d changed the final core state", stride)
+		}
+	}
+	// RunWith threads the stride through to the same kernel run.
+	res, _, err := RunWith(ctx, img, SysFull, RunOptions{MaxSteps: 10_000_000, CancelEvery: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, base) {
+		t.Errorf("RunWith changed the run result: %+v vs %+v", res, base)
 	}
 }
 

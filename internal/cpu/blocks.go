@@ -29,10 +29,11 @@ package cpu
 //     exactly the tick, LRU and hit state of per-instruction accesses.
 //     Every fetch past the first is a guaranteed I-TLB hit (same
 //     page), credited in one bump when the block exits.
-//   - Replayed on a side exit (fault or self-modifying store): the
-//     fetch credits up to the exiting instruction, the folded
-//     accounting of the instructions that did retire, plus the
-//     faulting instruction's pre-fault charges.
+//   - Replayed on a side exit (a fault, a self-modifying store, or a
+//     slice bound that ends inside the block): the fetch credits up
+//     to the exiting instruction, the folded accounting of the
+//     instructions that did retire, plus the faulting instruction's
+//     pre-fault charges.
 //
 // Block entry performs a real I-side translation (so exec-permission
 // revocation and rekeys are enforced per entry) and revalidates the
@@ -133,9 +134,9 @@ func (c *CPU) dropBlocks() {
 
 // runSlice executes until Instret reaches bound or a trap surfaces,
 // through the block engine when it is enabled and unobserved, and
-// otherwise one Step at a time. bound is exact in either mode: the
-// caller's poll strides and sync points land on identical machine
-// states whatever the engine.
+// otherwise one Step at a time. bound is exact in either mode (a block
+// it ends inside side-exits there): the caller's poll strides and sync
+// points land on identical machine states whatever the engine.
 func (c *CPU) runSlice(bound uint64) *Trap {
 	if c.useBlocks && c.Tracer == nil && c.probe == nil && c.inject == nil {
 		return c.runBlocks(bound)
@@ -171,10 +172,9 @@ func (c *CPU) runBlocks(bound uint64) *Trap {
 			}
 			fill = nil
 		}
-		if b != nil && (b.src.Kind != block.KindBlock || c.Instret+b.n > bound) {
-			// Known interpreter-only start, or a block longer than the
-			// remaining budget: single-step (full interpreter
-			// accounting, nothing charged yet).
+		if b != nil && b.src.Kind != block.KindBlock {
+			// Known interpreter-only start: single-step (full
+			// interpreter accounting, nothing charged yet).
 			if trap := c.Step(); trap != nil {
 				return trap
 			}
@@ -222,21 +222,10 @@ func (c *CPU) runBlocks(bound uint64) *Trap {
 			}
 			continue
 		}
-		if c.Instret+b.n > bound {
-			// Freshly translated block outruns the budget: finish one
-			// instruction on the already-accounted fetch.
-			if !c.icache.Access(pa) {
-				c.Cycles += c.cfg.Cost.CacheMiss
-			}
-			if trap := c.execFetched(pc, b.src.Insts[0].In, 0); trap != nil {
-				return trap
-			}
-			continue
-		}
 		if !c.icache.Access(pa) {
 			c.Cycles += c.cfg.Cost.CacheMiss
 		}
-		if trap := c.execBlock(b); trap != nil {
+		if trap := c.execBlock(b, bound-c.Instret); trap != nil {
 			return trap
 		}
 		// Direct chaining: cache (or reuse) the successor block for
@@ -268,20 +257,24 @@ func (c *CPU) compileBlock(va, pa uint64) *compiledBlock {
 	return b
 }
 
-// execBlock runs an entered block. The first instruction's fetch
-// accounting has been performed by the dispatcher; every later line
-// leader settles the line run before it. On full retirement the last
-// run's fetch credits and the folded static accounting are applied in
-// one update. The block engine runs only with the fast paths on and no
-// probe or injector attached, so the D-side line memo is always in use
-// here.
-func (c *CPU) execBlock(b *compiledBlock) *Trap {
+// execBlock runs an entered block, at most budget (≥ 1) of its
+// instructions. The first instruction's fetch accounting has been
+// performed by the dispatcher; every later line leader settles the
+// line run before it. On full retirement the last run's fetch credits
+// and the folded static accounting are applied in one update. The
+// block engine runs only with the fast paths on and no probe or
+// injector attached, so the D-side line memo is always in use here.
+func (c *CPU) execBlock(b *compiledBlock, budget uint64) *Trap {
 	r := &c.Regs
 	cost := &c.cfg.Cost
 	next := b.fallVA
 	taken := false
-	for i := range b.ops {
-		op := &b.ops[i]
+	ops := b.ops
+	if uint64(len(ops)) > budget {
+		ops = ops[:budget]
+	}
+	for i := range ops {
+		op := &ops[i]
 		if op.lead {
 			c.icache.RepeatLast(uint64(op.follow))
 			if !c.icache.Access(b.src.PA + (op.pc - b.src.VA)) {
@@ -388,6 +381,10 @@ func (c *CPU) execBlock(b *compiledBlock) *Trap {
 			next = t
 		}
 	}
+	if len(ops) < len(b.ops) {
+		// The budget ends inside the block: retired-prefix side exit.
+		return c.blockExit(b, len(ops)-1, nil)
+	}
 	// A conditional branch is always the block's last instruction.
 	if taken {
 		c.Cycles += cost.TakenBranch
@@ -414,8 +411,8 @@ func (c *CPU) execBlock(b *compiledBlock) *Trap {
 // of instructions 1..i, the folded static accounting of the
 // instructions that did retire, then — for a trap — the faulting
 // instruction's pre-fault charges and the trap charge, exactly as the
-// interpreter orders them. A nil trap is a store that retired into its
-// own block's code page; execution resumes after it.
+// interpreter orders them. A nil trap ends a retired prefix (a store
+// into its own code page, or the budget); execution resumes after it.
 func (c *CPU) blockExit(b *compiledBlock, i int, trap *Trap) *Trap {
 	cost := &c.cfg.Cost
 	// Instruction i was fetched before it executed. Earlier line runs

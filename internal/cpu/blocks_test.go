@@ -280,6 +280,51 @@ func TestBlockEngineRunsUops(t *testing.T) {
 	}
 }
 
+// TestSliceBoundInsideBlock runs a loop whose body is one long block
+// under a poll stride that ends inside it at a different offset each
+// slice. Every engine must match the interpreter, and the block engine
+// must run the prefix up to each bound itself: no instruction reaches
+// Step, and each slice boundary translates at most one new block, the
+// tail the next slice resumes at.
+func TestSliceBoundInsideBlock(t *testing.T) {
+	const bodyLen = 100
+	var body []isa.Inst
+	for i := 0; i < bodyLen; i++ {
+		switch i % 4 {
+		case 0:
+			body = append(body, isa.Inst{Op: isa.ADDI, Rd: isa.A0, Rs1: isa.A0, Imm: 3})
+		case 1:
+			body = append(body, isa.Inst{Op: isa.SD, Rs1: isa.S0, Rs2: isa.A0, Imm: int64(8 * i)})
+		case 2:
+			body = append(body, isa.Inst{Op: isa.LW, Rd: isa.A2, Rs1: isa.S0, Imm: int64(8*i - 4)})
+		case 3:
+			body = append(body, isa.Inst{Op: isa.XOR, Rd: isa.A3, Rs1: isa.A3, Rs2: isa.A2})
+		}
+	}
+	// a1 is seeded nonzero and never written: the loop never ends.
+	body = append(body, isa.Inst{Op: isa.BNE, Rs1: isa.A1, Rs2: isa.Zero, Imm: -4 * bodyLen})
+	s := newEngineSet(t, body...)
+	const stride, total = 997, 40*997 + 500
+	polls := make([]int, len(s.ms))
+	for i, m := range s.ms {
+		stop := func() bool { polls[i]++; return false }
+		if trap := m.cpu.RunInterruptible(total, stride, stop); trap != nil {
+			t.Fatalf("%s: trap %v", engines[i].name, trap)
+		}
+	}
+	s.check("sliced run", make([]*Trap, len(s.ms)))
+	m, boundaries := s.ms[len(s.ms)-1], polls[len(s.ms)-1]
+	if boundaries < 40 {
+		t.Fatalf("%d slice boundaries, want at least 40", boundaries)
+	}
+	if n := m.cpu.decodedSlots(); n != 0 {
+		t.Errorf("%d instruction slots went through Step", n)
+	}
+	if n := m.cpu.translatedBlocks(); n > 1+boundaries {
+		t.Errorf("%d blocks translated over %d slice boundaries, want at most %d", n, boundaries, 1+boundaries)
+	}
+}
+
 // TestUopSize keeps the lowered form compact: a translated block costs
 // at most 32 bytes of uops per instruction.
 func TestUopSize(t *testing.T) {

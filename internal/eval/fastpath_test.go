@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -27,7 +28,10 @@ type capture struct {
 	state    cpu.State
 }
 
-func runCell(t *testing.T, source string, h core.Hardening, sys core.SystemKind, eng core.Engine) capture {
+// runCell runs one cell to completion on eng. stride 0 runs it with no
+// context, in one slice; otherwise it runs under a live cancellable
+// context polled every stride retired instructions.
+func runCell(t *testing.T, source string, h core.Hardening, sys core.SystemKind, eng core.Engine, stride uint64) capture {
 	t.Helper()
 	img, _, err := core.Build(source, h)
 	if err != nil {
@@ -38,12 +42,20 @@ func runCell(t *testing.T, source string, h core.Hardening, sys core.SystemKind,
 	eo := eng.Options(core.RunOptions{})
 	cfg.CPU.NoFastPath = eo.NoFastPath
 	cfg.CPU.NoBlocks = eo.NoBlocks
+	cfg.CancelEvery = stride
 	machine := kernel.NewSystem(cfg)
 	p, err := machine.Spawn(img)
 	if err != nil {
 		t.Fatalf("spawn: %v", err)
 	}
-	res, err := machine.Run(p)
+	var res kernel.RunResult
+	if stride == 0 {
+		res, err = machine.Run(p)
+	} else {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err = machine.RunContext(ctx, p)
+		cancel()
+	}
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -73,7 +85,10 @@ func runCell(t *testing.T, source string, h core.Hardening, sys core.SystemKind,
 // scheme, bit-identical cycles, statistics, MMU and cache counters,
 // metrics snapshot, program output, final physical memory contents,
 // and final TLB and cache contents down to the LRU order. Runs that die with a signal (hardened binaries on the
-// wrong system) must match too.
+// wrong system) must match too. The block engine also runs each cell
+// sliced, as every served request is: under a live context polled at a
+// stride that ends inside blocks at varying offsets, and at the default
+// stride.
 func TestFastPathEquivalence(t *testing.T) {
 	type cell struct {
 		name string
@@ -114,12 +129,25 @@ func TestFastPathEquivalence(t *testing.T) {
 		cells = cells[:12]
 	}
 
+	runs := []struct {
+		eng    core.Engine
+		stride uint64
+	}{
+		{core.EngineFast, 0},
+		{core.EngineBlocks, 0},
+		{core.EngineBlocks, 997},
+		{core.EngineBlocks, kernel.DefaultCancelEvery},
+	}
 	for _, c := range cells {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			interp := runCell(t, c.src, c.h, c.sys, core.EngineInterp)
-			for _, eng := range []core.Engine{core.EngineFast, core.EngineBlocks} {
-				got := runCell(t, c.src, c.h, c.sys, eng)
+			interp := runCell(t, c.src, c.h, c.sys, core.EngineInterp, 0)
+			for _, r := range runs {
+				got := runCell(t, c.src, c.h, c.sys, r.eng, r.stride)
+				eng := r.eng.String()
+				if r.stride != 0 {
+					eng = fmt.Sprintf("%s/stride %d", eng, r.stride)
+				}
 				if got.res.Cycles != interp.res.Cycles {
 					t.Errorf("cycles: %v %d, interp %d", eng, got.res.Cycles, interp.res.Cycles)
 				}

@@ -96,6 +96,10 @@ var rwOps = [numOps]rSpec{
 	REMW: {6, 0x01, true}, REMUW: {7, 0x01, true},
 }
 
+// IsRType reports whether the opcode is a register-register ALU op
+// (R-type: its second source is rs2, never an immediate).
+func (o Op) IsRType() bool { return o < numOps && (rOps[o].ok || rwOps[o].ok) }
+
 var loadF3 = [numOps]uint32{
 	LB: 0, LH: 1, LW: 2, LD: 3, LBU: 4, LHU: 5, LWU: 6,
 }

@@ -376,8 +376,8 @@ func TestPerfModuleBuilds(t *testing.T) {
 	}
 }
 
-// TestMicroBenchmarksRun runs every micro-benchmark of the assembler
-// and the simulator's hot packages once. go test ./... compiles
+// TestMicroBenchmarksRun runs every micro-benchmark of the assembler,
+// the simulator's hot packages and the served execution path once. go test ./... compiles
 // benchmarks but never executes their bodies, so a benchmark whose
 // setup breaks would otherwise go unnoticed until someone measures.
 func TestMicroBenchmarksRun(t *testing.T) {
@@ -385,13 +385,13 @@ func TestMicroBenchmarksRun(t *testing.T) {
 		t.Skip("spawns toolchain")
 	}
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x",
-		"./internal/asm", "./internal/isa", "./internal/cpu", "./internal/cache", "./internal/mmu")
+		"./internal/asm", "./internal/isa", "./internal/cpu", "./internal/cache", "./internal/mmu", "./internal/core")
 	cmd.Env = os.Environ()
 	msg, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("go test -bench: %v\n%s", err, msg)
 	}
-	for _, want := range []string{"BenchmarkAssembleSpec", "BenchmarkRegByName"} {
+	for _, want := range []string{"BenchmarkAssembleSpec", "BenchmarkRegByName", "BenchmarkRunWithLiveContext"} {
 		if !strings.Contains(string(msg), want) {
 			t.Errorf("benchmark %s did not run:\n%s", want, msg)
 		}
