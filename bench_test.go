@@ -292,16 +292,15 @@ func BenchmarkAblationCompressed(b *testing.B) {
 	if err := harden.Apply(unit, harden.ICall()); err != nil {
 		b.Fatal(err)
 	}
-	text := unit.Assembly()
 	var plainSize, smallSize uint64
 	for i := 0; i < b.N; i++ {
-		plain, err := asm.Assemble(text, asm.DefaultOptions())
+		plain, err := asm.AssembleLines(unit.Lines, asm.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		opts := asm.DefaultOptions()
 		opts.Compress = true
-		small, err := asm.Assemble(text, opts)
+		small, err := asm.AssembleLines(unit.Lines, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

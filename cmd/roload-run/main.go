@@ -55,8 +55,6 @@ import (
 	"strings"
 
 	"roload/internal/asm"
-	"roload/internal/cc"
-	"roload/internal/cc/harden"
 	"roload/internal/cli"
 	"roload/internal/core"
 	"roload/internal/fault"
@@ -163,17 +161,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		unit, err := cc.Compile(src)
-		if err != nil {
-			fatal(err)
-		}
-		if *optimize {
-			cc.Optimize(unit)
-		}
-		if err := harden.Apply(unit, hardenFlag.Scheme.Passes()...); err != nil {
-			fatal(err)
-		}
-		img, err = asm.Assemble(unit.Assembly(), asm.DefaultOptions())
+		img, _, err = core.BuildWith(src, core.CompileOptions{Harden: hardenFlag.Scheme, Optimize: *optimize})
 		if err != nil {
 			fatal(err)
 		}

@@ -10,9 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"roload/internal/asm"
-	"roload/internal/cc"
-	"roload/internal/cc/harden"
 	"roload/internal/core"
 	"roload/internal/kernel"
 )
@@ -46,14 +43,7 @@ func main() {
 	//    ROLoad-md-style metadata; the ICall pass moves the legal
 	//    callback targets into a keyed read-only GFPT and rewrites the
 	//    indirect call to fetch its target with ld.ro.
-	unit, err := cc.Compile(program)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := harden.Apply(unit, harden.ICall()); err != nil {
-		log.Fatal(err)
-	}
-	img, err := asm.Assemble(unit.Assembly(), asm.DefaultOptions())
+	img, unit, err := core.Build(program, core.HardenICall)
 	if err != nil {
 		log.Fatal(err)
 	}

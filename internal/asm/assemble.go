@@ -33,8 +33,11 @@ func Assemble(src string, opts Options) (*Image, error) {
 		opts.TextBase = 0x10000
 	}
 	p := parsers.Get().(*parser)
-	defer parsers.Put(p)
-	p.reset(src, opts.Compress)
+	defer p.release()
+	// The arenas are sized once: a line holds at most one statement, and
+	// every operand is a line's first or follows a comma.
+	lines := strings.Count(src, "\n") + 1
+	p.reset(lines, lines+strings.Count(src, ","), opts.Compress)
 	if err := p.parse(src); err != nil {
 		return nil, err
 	}
@@ -74,7 +77,9 @@ const (
 	clsStore
 	clsUpper // lui, auipc
 	clsCSR
-	clsALU // R-type and I-type ALU
+	clsALU     // R-type and I-type ALU
+	clsSection // a section switch (typed programs only)
+	clsData    // .quad, .space, .asciz (typed programs only)
 )
 
 // mnemonic is one entry of the mnemonic table.
@@ -97,12 +102,16 @@ type mnemonic struct {
 	compress bool
 }
 
-// mnemonicTable lists every mnemonic the assembler accepts: the ISA's
-// opcodes and the pseudo-instructions. Entry 0 stands for an unknown
+// mnemonicTable lists every mnemonic the assembler accepts, indexed by
+// Mnemonic: the ISA's opcodes, the pseudo-instructions, and the
+// directives a typed program uses. Entry 0 stands for an unknown
 // mnemonic.
 var mnemonicTable = func() []mnemonic {
 	t := []mnemonic{{class: clsUnknown}}
 	for _, op := range isa.Ops() {
+		if Mnemonic(len(t)) != Mnemonic(op) {
+			panic("asm: isa.Ops is not in opcode order")
+		}
 		e := mnemonic{name: op.String(), op: op}
 		switch {
 		case op.IsROLoad():
@@ -154,7 +163,14 @@ var mnemonicTable = func() []mnemonic {
 		mnemonic{name: "bgez", class: clsBranch, op: isa.BGE, nops: 2, rs1: 0, rs2: -1},
 		mnemonic{name: "bltz", class: clsBranch, op: isa.BLT, nops: 2, rs1: 0, rs2: -1},
 		mnemonic{name: "bgtz", class: clsBranch, op: isa.BLT, nops: 2, rs1: -1, rs2: 0},
+		mnemonic{name: ".section", class: clsSection},
+		mnemonic{name: ".quad", class: clsData},
+		mnemonic{name: ".space", class: clsData},
+		mnemonic{name: ".asciz", class: clsData},
 	)
+	if len(t) != int(numMnemonics) || t[Nop].name != "nop" || t[Bgtz].name != "bgtz" {
+		panic("asm: the Mnemonic constants do not match mnemonicTable")
+	}
 	for i := range t {
 		switch t[i].name {
 		case "ld.ro", "ld", "lw", "sd", "sw", "addi", "addiw", "slli", "add", "mv", "li", "ret", "jr":
@@ -168,6 +184,9 @@ var mnemonicTable = func() []mnemonic {
 // (0 = empty slot), sized to keep probe chains short.
 var mnemonicSlots = func() (slots [256]uint8) {
 	for i := 1; i < len(mnemonicTable); i++ {
+		if mnemonicTable[i].class >= clsSection {
+			continue // text directives have their own parser
+		}
 		h := mnemonicHash(mnemonicTable[i].name)
 		for slots[h] != 0 {
 			h++
@@ -186,9 +205,9 @@ func mnemonicHash(name string) uint8 {
 }
 
 // lookupMnemonic returns the mnemonicTable index of name, 0 if unknown.
-func lookupMnemonic(name string) uint8 {
+func lookupMnemonic(name string) Mnemonic {
 	for h := mnemonicHash(name); ; h++ {
-		i := mnemonicSlots[h]
+		i := Mnemonic(mnemonicSlots[h])
 		if i == 0 || mnemonicTable[i].name == name {
 			return i
 		}
@@ -357,7 +376,7 @@ type encoder struct {
 }
 
 func (e *encoder) errf(format string, args ...interface{}) error {
-	return &SyntaxError{Line: int(e.line), Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Line: int(e.line), Msg: fmt.Sprintf(format, args...), Stmt: e.p.typed}
 }
 
 // name returns a statement's mnemonic as written, lowercased.

@@ -159,7 +159,7 @@ func TestLiteralInstRejectsSymbolic(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := new(parser)
-		p.reset("", false)
+		p.reset(1, 4, false)
 		texts := splitOperands(nil, c[1])
 		m := &mnemonicTable[lookupMnemonic(c[0])]
 		forms := operandForms(m.class, len(texts))
@@ -167,7 +167,11 @@ func TestLiteralInstRejectsSymbolic(t *testing.T) {
 		for i, f := range forms {
 			p.parseOperand(&ops[i], f, texts[i])
 		}
-		if _, ok := p.literalInst(m, texts, ops); ok {
+		var roAddr operand
+		if len(texts) == 3 {
+			p.parseOperand(&roAddr, fMem, texts[1])
+		}
+		if _, ok := literalInst(m, len(texts), ops, &roAddr); ok {
 			t.Errorf("literalInst(%s %s) accepted a non-literal instruction", c[0], c[1])
 		}
 	}

@@ -59,10 +59,20 @@ func sha(b []byte) string {
 
 // computeGoldens compiles every golden source under every scheme and
 // digests the assembly text and the roload-image/v1 JSON of the image
-// linked with Compress off and on.
-func computeGoldens(t *testing.T) map[string]string {
+// linked with Compress off and on. typed holds the image digests of the
+// same units linked from their typed statements (asm.AssembleLines),
+// under the same keys.
+func computeGoldens(t *testing.T) (got, typed map[string]string) {
 	t.Helper()
-	got := make(map[string]string)
+	got = make(map[string]string)
+	typed = make(map[string]string)
+	digest := func(img *asm.Image) string {
+		doc, err := json.Marshal(core.EncodeImage(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha(doc)
+	}
 	for _, gs := range goldenSources() {
 		for _, h := range goldenHardenings {
 			unit, err := cc.Compile(gs.src)
@@ -82,15 +92,17 @@ func computeGoldens(t *testing.T) map[string]string {
 				if err != nil {
 					t.Fatalf("%s: assemble (compress=%v): %v", key, compress, err)
 				}
-				doc, err := json.Marshal(core.EncodeImage(img))
+				linked, err := asm.AssembleLines(unit.Lines, opts)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: link (compress=%v): %v", key, compress, err)
 				}
-				got[fmt.Sprintf("%s/image/compress=%v", key, compress)] = sha(doc)
+				ikey := fmt.Sprintf("%s/image/compress=%v", key, compress)
+				got[ikey] = digest(img)
+				typed[ikey] = digest(linked)
 			}
 		}
 	}
-	return got
+	return got, typed
 }
 
 func readGoldens(t *testing.T) map[string]string {
@@ -144,13 +156,21 @@ func writeGoldens(t *testing.T, got map[string]string) {
 // TestImageGoldens pins the bytes of every image the evaluation and the
 // attack matrix link: the spec workloads at scales 1, 2 and test and the
 // attack victims, under each hardening, with and without compression.
+//
+// Each image is linked twice, from the assembly text and from the
+// unit's typed statements, and both must match the golden.
 func TestImageGoldens(t *testing.T) {
-	got := computeGoldens(t)
+	got, typed := computeGoldens(t)
 	if *updateGoldens {
 		writeGoldens(t, got)
 		return
 	}
 	want := readGoldens(t)
+	for k, v := range typed {
+		if w := want[k]; w != v {
+			t.Errorf("%s: typed link digest %s, golden %s", k, v, w)
+		}
+	}
 	for k, v := range got {
 		w, ok := want[k]
 		switch {

@@ -10,13 +10,18 @@ import (
 	"roload/internal/isa"
 )
 
-// SyntaxError reports a problem in the assembly source.
+// SyntaxError reports a problem in the assembly source, or in a
+// statement of a typed program.
 type SyntaxError struct {
-	Line int
+	Line int // the 1-based text line, or with Stmt the statement number
 	Msg  string
+	Stmt bool // the error is in a typed program (AssembleLines)
 }
 
 func (e *SyntaxError) Error() string {
+	if e.Stmt {
+		return fmt.Sprintf("asm: statement %d: %s", e.Line, e.Msg)
+	}
 	return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg)
 }
 
@@ -116,7 +121,7 @@ type stmt struct {
 	first int32
 	n     int32
 	kind  stmtKind
-	mn    uint8 // index into mnemonicTable; 0 for an unknown mnemonic
+	mn    Mnemonic // 0 for an unknown mnemonic
 	// parsed is how many operands pass 1 lexed (0 when the count is one
 	// the encoder rejects).
 	parsed uint8
@@ -170,6 +175,7 @@ type parser struct {
 	text     []stmt   // the .text statements' backing array
 	line     int
 	compress bool // attempt RVC encodings for literal instructions
+	typed    bool // the statements come from AssembleLines
 }
 
 // parsers recycles pass-1 state between assemblies: its arenas are the
@@ -177,12 +183,9 @@ type parser struct {
 // in a returned Image or error points into them.
 var parsers = sync.Pool{New: func() any { return new(parser) }}
 
-// reset readies p for src, keeping the arenas of an earlier use. They
-// are sized once: a line holds at most one statement, and every operand
-// is a line's first or follows a comma.
-func (p *parser) reset(src string, compress bool) {
-	lines := strings.Count(src, "\n") + 1
-	nops := lines + strings.Count(src, ",")
+// reset readies p for a program of at most lines statements and nops
+// operands, keeping the arenas of an earlier use.
+func (p *parser) reset(lines, nops int, compress bool) {
 	// Drop the strings into the previous source.
 	clear(p.sections)
 	clear(p.syms)
@@ -212,7 +215,7 @@ func (p *parser) reset(src string, compress bool) {
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return &SyntaxError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Line: p.line, Msg: fmt.Sprintf(format, args...), Stmt: p.typed}
 }
 
 func (p *parser) enterSection(name string) error {
@@ -518,18 +521,52 @@ func (p *parser) instruction(line string) error {
 	mi := lookupMnemonic(name)
 	m := &mnemonicTable[mi]
 	if m.class == clsBranch {
-		return p.branch(mi, texts)
+		if len(texts) != int(m.nops) {
+			return p.errf("%s needs %d operands, got %d", m.name, m.nops, len(texts))
+		}
+		var regs [2]isa.Reg
+		for i, idx := range [2]int8{m.rs1, m.rs2} {
+			if idx < 0 {
+				continue // the implicit zero of a compare-with-zero pseudo
+			}
+			r, ok := isa.RegByName(texts[idx])
+			if !ok {
+				return p.errf("bad register %q", texts[idx])
+			}
+			regs[i] = r
+		}
+		var target operand
+		p.parseOperand(&target, fExpr, texts[m.nops-1])
+		return p.addBranch(m, regs[0], regs[1], target)
+	}
+
+	if mi == 0 {
+		return p.addStmt(stmt{kind: stInst, size: 4, first: p.badText(name), n: int32(len(texts))})
 	}
 
 	first := len(p.ops)
-	forms := operandForms(m.class, len(texts))
-	for i, f := range forms {
+	for i, f := range operandForms(m.class, len(texts)) {
 		p.ops = append(p.ops, operand{})
 		p.parseOperand(&p.ops[len(p.ops)-1], f, texts[i])
 	}
+	var roAddr operand
+	if p.compress && mi == Mnemonic(isa.LDRO) && len(texts) == 3 && p.ops[first].err == opOK {
+		// The RVC form takes the address as an off(reg) literal with a
+		// zero offset, which (reg) alone does not cover.
+		p.parseOperand(&roAddr, fMem, texts[1])
+	}
+	return p.addInst(mi, first, len(texts), roAddr)
+}
+
+// addInst adds the instruction statement of mnemonic mi, written with n
+// operands, whose operands pass 1 lexed into p.ops[first:]. roAddr is
+// the address operand of ld.ro lexed as off(reg), for the RVC attempt.
+// It reports the errors of li operands, which sizing needs.
+func (p *parser) addInst(mi Mnemonic, first, n int, roAddr operand) error {
+	m := &mnemonicTable[mi]
 	ops := p.ops[first:]
 	if p.compress && m.compress {
-		if in, ok := p.literalInst(m, texts, ops); ok {
+		if in, ok := literalInst(m, n, ops, &roAddr); ok {
 			if raw, ok := isa.TryCompress(in); ok {
 				p.ops = p.ops[:first]
 				return p.addStmt(stmt{kind: stC16, size: 2, c16: raw})
@@ -540,11 +577,11 @@ func (p *parser) instruction(line string) error {
 	size := uint64(4)
 	switch m.class {
 	case clsLi:
-		if len(texts) != 2 {
+		if n != 2 {
 			return p.errf("li needs 2 operands")
 		}
 		if x := &ops[1]; x.err != opOK {
-			return p.errf("%s", x.err.message(name, p.bad[x.bad]))
+			return p.errf("%s", x.err.message(m.name, p.bad[x.bad]))
 		} else if x.x.sym != 0 {
 			size = 8 // lui+addiw
 		} else {
@@ -554,49 +591,19 @@ func (p *parser) instruction(line string) error {
 	case clsLa:
 		size = 8 // lui+addiw
 	}
-	if mi == 0 {
-		first = int(p.badText(name))
-	}
 	return p.addStmt(stmt{kind: stInst, size: size, mn: mi,
-		first: int32(first), n: int32(len(texts)), parsed: uint8(len(forms))})
+		first: int32(first), n: int32(n), parsed: uint8(len(ops))})
 }
 
-// branch lowers a conditional branch (real or pseudo) to its canonical
-// form, which layout may relax. Its operand errors are pass-1 errors.
-func (p *parser) branch(mi uint8, texts []string) error {
-	m := &mnemonicTable[mi]
-	if len(texts) != int(m.nops) {
-		return p.errf("%s needs %d operands, got %d", m.name, m.nops, len(texts))
-	}
-	rs1, err := p.branchReg(texts, m.rs1)
-	if err != nil {
-		return err
-	}
-	rs2, err := p.branchReg(texts, m.rs2)
-	if err != nil {
-		return err
-	}
-	var target operand
-	p.parseOperand(&target, fExpr, texts[m.nops-1])
+// addBranch adds a conditional branch (real or pseudo) in its canonical
+// form, which layout may relax. A bad target is a pass-1 error.
+func (p *parser) addBranch(m *mnemonic, rs1, rs2 isa.Reg, target operand) error {
 	if target.err != opOK {
 		return p.errf("%s", target.err.message(m.name, p.bad[target.bad]))
 	}
 	p.ops = append(p.ops, target)
 	return p.addStmt(stmt{kind: stBranch, size: 4,
 		bop: m.op, rs1: rs1, rs2: rs2, first: int32(len(p.ops) - 1)})
-}
-
-// branchReg returns the branch register operand texts[idx], or zero for
-// the implicit operand (idx < 0) of a compare-with-zero pseudo.
-func (p *parser) branchReg(texts []string, idx int8) (isa.Reg, error) {
-	if idx < 0 {
-		return isa.Zero, nil
-	}
-	r, ok := isa.RegByName(texts[idx])
-	if !ok {
-		return 0, p.errf("bad register %q", texts[idx])
-	}
-	return r, nil
 }
 
 // operandForms returns the forms pass 1 lexes the operands of a
@@ -712,12 +719,12 @@ func (p *parser) parseOperand(o *operand, f form, s string) {
 	}
 }
 
-// literalInst builds an isa.Inst for a mnemonic whose operands are all
-// registers or integer literals (no symbols), the precondition for
-// attempting an RVC encoding at parse time. Only the forms the code
-// generator emits frequently are recognized.
-func (p *parser) literalInst(m *mnemonic, texts []string, ops []operand) (isa.Inst, bool) {
-	n := len(texts)
+// literalInst builds an isa.Inst for a mnemonic written with n operands
+// that are all registers or integer literals (no symbols), the
+// precondition for attempting an RVC encoding at parse time. Only the
+// forms the code generator emits frequently are recognized. roAddr is
+// the address operand of ld.ro read as off(reg).
+func literalInst(m *mnemonic, n int, ops []operand, roAddr *operand) (isa.Inst, bool) {
 	regs := func(k int) bool {
 		for i := 0; i < k; i++ {
 			if ops[i].err != opOK || !ops[i].isReg {
@@ -732,15 +739,11 @@ func (p *parser) literalInst(m *mnemonic, texts []string, ops []operand) (isa.In
 		if n != 3 || !regs(1) {
 			return isa.Inst{}, false
 		}
-		// The RVC form takes the address as an off(reg) literal with a
-		// zero offset, which (reg) alone does not cover.
-		var mem operand
-		p.parseOperand(&mem, fMem, texts[1])
 		key := ops[2].x.off
-		if !intLit(&mem) || mem.x.off != 0 || !ops[2].lit || key < 0 || key > isa.MaxKey {
+		if !intLit(roAddr) || roAddr.x.off != 0 || !ops[2].lit || key < 0 || key > isa.MaxKey {
 			return isa.Inst{}, false
 		}
-		return isa.Inst{Op: isa.LDRO, Rd: ops[0].reg, Rs1: mem.reg, Key: uint16(key)}, true
+		return isa.Inst{Op: isa.LDRO, Rd: ops[0].reg, Rs1: roAddr.reg, Key: uint16(key)}, true
 	case "ld", "lw", "sd", "sw":
 		if n != 2 || !regs(1) || !intLit(&ops[1]) {
 			return isa.Inst{}, false

@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"strings"
 
-	"roload/internal/asm"
 	"roload/internal/cc"
-	"roload/internal/cc/harden"
 	"roload/internal/core"
 	"roload/internal/kernel"
 )
@@ -125,16 +123,9 @@ func (s *Scenario) Covers(h core.Hardening) bool {
 // classifies the outcome. A cancelled ctx stops the victim mid-run and
 // returns the kernel's *kernel.CanceledError.
 func (s *Scenario) MountContext(ctx context.Context, h core.Hardening) (Result, error) {
-	unit, err := cc.Compile(s.Victim)
+	img, unit, err := core.Build(s.Victim, h)
 	if err != nil {
-		return Result{}, fmt.Errorf("attack: compiling victim: %w", err)
-	}
-	if err := harden.Apply(unit, h.Passes()...); err != nil {
-		return Result{}, err
-	}
-	img, err := asm.Assemble(unit.Assembly(), asm.DefaultOptions())
-	if err != nil {
-		return Result{}, fmt.Errorf("attack: assembling victim: %w", err)
+		return Result{}, fmt.Errorf("attack: building victim: %w", err)
 	}
 	cfg := kernel.FullSystem()
 	cfg.MaxSteps = 100_000_000

@@ -1,6 +1,8 @@
 package cc
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,16 +17,22 @@ func compileRun(t *testing.T, src string) kernel.RunResult {
 	return compileRunOn(t, kernel.FullSystem(), src)
 }
 
+// compileRunOn also checks, for the program as compiled and as
+// optimized, that the unit's typed statements link to the image its
+// assembly text assembles to.
 func compileRunOn(t *testing.T, cfg kernel.Config, src string) kernel.RunResult {
 	t.Helper()
 	unit, err := Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	img, err := asm.Assemble(unit.Assembly(), asm.DefaultOptions())
+	img := linkBothWays(t, unit)
+	opt, err := Compile(src)
 	if err != nil {
-		t.Fatalf("assemble: %v\n%s", err, unit.Assembly())
+		t.Fatal(err)
 	}
+	Optimize(opt)
+	linkBothWays(t, opt)
 	cfg.MaxSteps = 50_000_000
 	sys := kernel.NewSystem(cfg)
 	p, err := sys.Spawn(img)
@@ -36,6 +44,25 @@ func compileRunOn(t *testing.T, cfg kernel.Config, src string) kernel.RunResult 
 		t.Fatalf("run: %v", err)
 	}
 	return res
+}
+
+// linkBothWays links u from its typed statements and from its assembly
+// text, fails the test unless the images are identical, and returns
+// the image.
+func linkBothWays(t *testing.T, u *Unit) *asm.Image {
+	t.Helper()
+	text, err := asm.Assemble(u.Assembly(), asm.DefaultOptions())
+	if err != nil {
+		t.Fatalf("assemble: %v\n%s", err, u.Assembly())
+	}
+	typed, err := asm.AssembleLines(u.Lines, asm.DefaultOptions())
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	if !reflect.DeepEqual(typed, text) {
+		t.Fatalf("typed statements and assembly text link to different images\n%s", u.Assembly())
+	}
+	return typed
 }
 
 func wantExit(t *testing.T, res kernel.RunResult, code int) {
@@ -370,6 +397,31 @@ func TestLexErrors(t *testing.T) {
 		if _, err := Lex(src); err == nil {
 			t.Errorf("Lex(%q) succeeded", src)
 		}
+	}
+}
+
+// An unclosed block comment is an error at the line that opens it,
+// not the end of the source.
+func TestUnterminatedComment(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		line int
+	}{
+		{"func main() int { return 0; } /* x", 1},
+		{"func main() int {\n\treturn 0;\n}\n/* x\n\ny", 4},
+		{"/*/", 1},
+		{"/*", 1},
+	} {
+		_, err := Compile(c.src)
+		want := fmt.Sprintf("cc: line %d: unterminated comment", c.line)
+		if err == nil || err.Error() != want {
+			t.Errorf("Compile(%q) = %v, want %s", c.src, err, want)
+		}
+	}
+	// A closed comment spanning lines keeps later line numbers right.
+	_, err := Compile("/* a\nb */ func main() int { return x; }")
+	if err == nil || !strings.HasPrefix(err.Error(), "cc: line 2:") {
+		t.Errorf("error after a two-line comment = %v, want line 2", err)
 	}
 }
 

@@ -3,6 +3,42 @@ package cc
 import (
 	"fmt"
 	"strconv"
+
+	"roload/internal/asm"
+	"roload/internal/isa"
+)
+
+// The mnemonics of the ISA instructions the compiler emits.
+const (
+	opAdd  = asm.Mnemonic(isa.ADD)
+	opAddi = asm.Mnemonic(isa.ADDI)
+	opAnd  = asm.Mnemonic(isa.AND)
+	opDiv  = asm.Mnemonic(isa.DIV)
+	opJalr = asm.Mnemonic(isa.JALR)
+	opLd   = asm.Mnemonic(isa.LD)
+	opMul  = asm.Mnemonic(isa.MUL)
+	opOr   = asm.Mnemonic(isa.OR)
+	opRem  = asm.Mnemonic(isa.REM)
+	opSd   = asm.Mnemonic(isa.SD)
+	opSll  = asm.Mnemonic(isa.SLL)
+	opSlli = asm.Mnemonic(isa.SLLI)
+	opSlt  = asm.Mnemonic(isa.SLT)
+	opSra  = asm.Mnemonic(isa.SRA)
+	opSub  = asm.Mnemonic(isa.SUB)
+	opXor  = asm.Mnemonic(isa.XOR)
+	opXori = asm.Mnemonic(isa.XORI)
+)
+
+// The register operands the stack machine uses, and its stack slot.
+var (
+	rZero  = asm.R(isa.Zero)
+	rRA    = asm.R(isa.RA)
+	rSP    = asm.R(isa.SP)
+	rS0    = asm.R(isa.S0)
+	rT0    = asm.R(isa.T0)
+	rT1    = asm.R(isa.T1)
+	rA0    = asm.R(isa.A0)
+	mem0SP = asm.Mem(0, isa.SP)
 )
 
 // codegen translates a checked program into a Unit. The generator is a
@@ -12,14 +48,18 @@ import (
 // identical except for the instrumentation under study, which is what
 // the paper's relative-overhead measurements require.
 type codegen struct {
-	chk    *Checked
-	unit   *Unit
-	fn     *MFunc
+	chk  *Checked
+	unit *Unit
+	fn   *MFunc
+	// lines holds the current function's lines at the start of an
+	// arena the unit's functions share, so that a function costs no
+	// allocation of its own while the arena lasts.
+	lines  []Line
 	decl   *FuncDecl
 	labelN int
-	brk    []string // break label stack
-	cont   []string // continue label stack
-	strs   map[string]string
+	brk    []asm.Arg // break label stack
+	cont   []asm.Arg // continue label stack
+	strs   map[string]asm.Arg
 }
 
 // Compile parses, checks, and compiles MiniC source into a Unit.
@@ -32,15 +72,20 @@ func Compile(src string) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Generate(chk)
+	// Code runs to about one machine line per 1.5 bytes of source.
+	return generate(chk, len(src)*3/4)
 }
 
 // Generate lowers a checked program.
-func Generate(chk *Checked) (*Unit, error) {
+func Generate(chk *Checked) (*Unit, error) { return generate(chk, 256) }
+
+// generate lowers a checked program into an arena of about lines lines.
+func generate(chk *Checked, lines int) (*Unit, error) {
 	g := &codegen{
-		chk:  chk,
-		unit: &Unit{Checked: chk},
-		strs: make(map[string]string),
+		chk:   chk,
+		unit:  &Unit{Checked: chk},
+		strs:  make(map[string]asm.Arg),
+		lines: make([]Line, 0, lines),
 	}
 	// vtables (deterministic class order; root computed for keying).
 	for _, name := range chk.ClassOrder {
@@ -65,10 +110,10 @@ func Generate(chk *Checked) (*Unit, error) {
 		size := g.sizeOf(gv.Type)
 		if gv.Init != nil {
 			v, _ := constInt(gv.Init) // null initializer folds to 0
-			g.unit.Data = append(g.unit.Data, L("g_"+gv.Name), I(".quad", itoa(v)))
+			g.unit.Data = append(g.unit.Data, L("g_"+gv.Name), I(asm.Quad, asm.Imm(v)))
 		} else {
 			g.unit.Bss = append(g.unit.Bss,
-				L("g_"+gv.Name), I(".space", itoa(align8(size))))
+				L("g_"+gv.Name), I(asm.Space, asm.Imm(align8(size))))
 		}
 	}
 	// functions (top-level then methods, stable order)
@@ -104,39 +149,40 @@ func align16(n int64) int64 {
 	return n + 16 - n%16
 }
 
-func (g *codegen) emit(op string, args ...string) *Line {
-	g.fn.Lines = append(g.fn.Lines, I(op, args...))
-	return &g.fn.Lines[len(g.fn.Lines)-1]
+func (g *codegen) emit(op asm.Mnemonic, args ...asm.Arg) *Line {
+	g.lines = append(g.lines, I(op, args...))
+	return &g.lines[len(g.lines)-1]
 }
 
-func (g *codegen) label(l string) {
-	g.fn.Lines = append(g.fn.Lines, L(l))
+func (g *codegen) label(l asm.Arg) {
+	g.lines = append(g.lines, L(l.Sym))
 }
 
-func (g *codegen) newLabel(hint string) string {
+// newLabel returns a fresh local label as a symbol operand.
+func (g *codegen) newLabel(hint string) asm.Arg {
 	g.labelN++
-	return fmt.Sprintf(".L%s_%s_%d", g.fn.Name, hint, g.labelN)
+	return asm.Sym(".L" + g.fn.Name + "_" + hint + "_" + strconv.Itoa(g.labelN))
 }
 
 // push spills t0 to the stack.
 func (g *codegen) push() {
-	g.emit("addi", "sp", "sp", "-8")
-	g.emit("sd", "t0", "0(sp)")
+	g.emit(opAddi, rSP, rSP, asm.Imm(-8))
+	g.emit(opSd, rT0, mem0SP)
 }
 
 // pop restores the most recent spill into reg.
-func (g *codegen) pop(reg string) {
-	g.emit("ld", reg, "0(sp)")
-	g.emit("addi", "sp", "sp", "8")
+func (g *codegen) pop(reg isa.Reg) {
+	g.emit(opLd, asm.R(reg), mem0SP)
+	g.emit(opAddi, rSP, rSP, asm.Imm(8))
 }
 
-func (g *codegen) strLabel(s string) string {
+func (g *codegen) strLabel(s string) asm.Arg {
 	if l, ok := g.strs[s]; ok {
 		return l
 	}
-	l := fmt.Sprintf("__str_%d", len(g.strs))
+	l := asm.Sym("__str_" + strconv.Itoa(len(g.strs)))
 	g.strs[s] = l
-	g.unit.RoData = append(g.unit.RoData, L(l), I(".asciz", strconv.Quote(s)))
+	g.unit.RoData = append(g.unit.RoData, L(l.Sym), I(asm.Asciz, asm.Str(s)))
 	return l
 }
 
@@ -144,12 +190,13 @@ func (g *codegen) genFunc(f *FuncDecl) error {
 	g.fn = &MFunc{Name: f.Mangled, Sig: f.Sig()}
 	g.decl = f
 	g.unit.Funcs = append(g.unit.Funcs, g.fn)
+	g.lines = g.lines[len(g.lines):]
 
 	frame := align16(16 + f.frameSize)
-	g.emit("addi", "sp", "sp", itoa(-frame))
-	g.emit("sd", "ra", itoa(frame-8)+"(sp)")
-	g.emit("sd", "s0", itoa(frame-16)+"(sp)")
-	g.emit("addi", "s0", "sp", itoa(frame))
+	g.emit(opAddi, rSP, rSP, asm.Imm(-frame))
+	g.emit(opSd, rRA, asm.Mem(frame-8, isa.SP))
+	g.emit(opSd, rS0, asm.Mem(frame-16, isa.SP))
+	g.emit(opAddi, rS0, rSP, asm.Imm(frame))
 
 	// Spill incoming arguments into their frame slots. The checker
 	// assigned offsets in declaration order ("this" first for methods),
@@ -158,7 +205,7 @@ func (g *codegen) genFunc(f *FuncDecl) error {
 	cursor := int64(0)
 	spillNext := func() {
 		cursor += 8
-		g.emit("sd", fmt.Sprintf("a%d", argReg), g.frameAddr(cursor))
+		g.emit(opSd, asm.R(isa.A0+isa.Reg(argReg)), g.frameAddr(cursor))
 		argReg++
 	}
 	if f.Class != "" {
@@ -173,22 +220,23 @@ func (g *codegen) genFunc(f *FuncDecl) error {
 	}
 	// Implicit return (void functions and fall-through).
 	g.genEpilogue()
+	g.fn.Lines = g.lines[:len(g.lines):len(g.lines)]
 	return nil
 }
 
 // frameAddr renders the memory operand for a checker frame offset.
 // The frame below s0 holds [ra][saved s0][locals...]: the first local
 // (checker offset 8) lives at s0-24, below the two saved registers.
-func (g *codegen) frameAddr(off int64) string {
-	return itoa(-(off + 16)) + "(s0)"
+func (g *codegen) frameAddr(off int64) asm.Arg {
+	return asm.Mem(-(off + 16), isa.S0)
 }
 
 func (g *codegen) genEpilogue() {
 	frame := align16(16 + g.decl.frameSize)
-	g.emit("ld", "ra", itoa(frame-8)+"(sp)")
-	g.emit("ld", "s0", itoa(frame-16)+"(sp)")
-	g.emit("addi", "sp", "sp", itoa(frame))
-	g.emit("ret")
+	g.emit(opLd, rRA, asm.Mem(frame-8, isa.SP))
+	g.emit(opLd, rS0, asm.Mem(frame-16, isa.SP))
+	g.emit(opAddi, rSP, rSP, asm.Imm(frame))
+	g.emit(asm.Ret)
 }
 
 func (g *codegen) genBlock(b *BlockStmt) error {
@@ -209,14 +257,14 @@ func (g *codegen) genStmt(s Stmt) error {
 		if s.Decl.Init == nil {
 			// Zero-initialize scalar locals for determinism.
 			if s.Decl.Type.Kind != TypeArray && s.Decl.Type.Kind != TypeStruct && s.Decl.Type.Kind != TypeClass {
-				g.emit("sd", "zero", g.frameAddr(s.Decl.frameOffset))
+				g.emit(opSd, rZero, g.frameAddr(s.Decl.frameOffset))
 			}
 			return nil
 		}
 		if err := g.genExpr(s.Decl.Init); err != nil {
 			return err
 		}
-		g.emit("sd", "t0", g.frameAddr(s.Decl.frameOffset))
+		g.emit(opSd, rT0, g.frameAddr(s.Decl.frameOffset))
 		return nil
 
 	case *ExprStmt:
@@ -230,7 +278,7 @@ func (g *codegen) genStmt(s Stmt) error {
 			if err := g.genExpr(s.X); err != nil {
 				return err
 			}
-			g.emit("mv", "a0", "t0")
+			g.emit(asm.Mv, rA0, rT0)
 		}
 		g.genEpilogue()
 		return nil
@@ -241,12 +289,12 @@ func (g *codegen) genStmt(s Stmt) error {
 		if err := g.genExpr(s.Cond); err != nil {
 			return err
 		}
-		g.emit("beqz", "t0", elseL)
+		g.emit(asm.Beqz, rT0, elseL)
 		if err := g.genBlock(s.Then); err != nil {
 			return err
 		}
 		if s.Else != nil {
-			g.emit("j", endL)
+			g.emit(asm.J, endL)
 		}
 		g.label(elseL)
 		if s.Else != nil {
@@ -266,11 +314,11 @@ func (g *codegen) genStmt(s Stmt) error {
 		if err := g.genExpr(s.Cond); err != nil {
 			return err
 		}
-		g.emit("beqz", "t0", end)
+		g.emit(asm.Beqz, rT0, end)
 		if err := g.genBlock(s.Body); err != nil {
 			return err
 		}
-		g.emit("j", head)
+		g.emit(asm.J, head)
 		g.label(end)
 		g.brk = g.brk[:len(g.brk)-1]
 		g.cont = g.cont[:len(g.cont)-1]
@@ -292,7 +340,7 @@ func (g *codegen) genStmt(s Stmt) error {
 			if err := g.genExpr(s.Cond); err != nil {
 				return err
 			}
-			g.emit("beqz", "t0", end)
+			g.emit(asm.Beqz, rT0, end)
 		}
 		if err := g.genBlock(s.Body); err != nil {
 			return err
@@ -303,18 +351,18 @@ func (g *codegen) genStmt(s Stmt) error {
 				return err
 			}
 		}
-		g.emit("j", head)
+		g.emit(asm.J, head)
 		g.label(end)
 		g.brk = g.brk[:len(g.brk)-1]
 		g.cont = g.cont[:len(g.cont)-1]
 		return nil
 
 	case *BreakStmt:
-		g.emit("j", g.brk[len(g.brk)-1])
+		g.emit(asm.J, g.brk[len(g.brk)-1])
 		return nil
 
 	case *ContinueStmt:
-		g.emit("j", g.cont[len(g.cont)-1])
+		g.emit(asm.J, g.cont[len(g.cont)-1])
 		return nil
 	}
 	return fmt.Errorf("cc: cannot generate statement %T", s)
@@ -328,32 +376,55 @@ func (g *codegen) genAssign(s *AssignStmt) error {
 	g.push()
 	if s.Op != "=" {
 		// Compound: load current value first.
-		g.emit("ld", "t0", "0(sp)") // address (keep spilled)
-		g.emit("ld", "t0", "0(t0)")
+		g.emit(opLd, rT0, mem0SP) // address (keep spilled)
+		g.emit(opLd, rT0, asm.Mem(0, isa.T0))
 		g.push() // current value
 		if err := g.genExpr(s.RHS); err != nil {
 			return err
 		}
-		g.emit("mv", "t1", "t0")
-		g.pop("t0") // current value
-		op := map[string]string{
-			"+=": "add", "-=": "sub", "*=": "mul", "/=": "div", "%=": "rem",
-			"&=": "and", "|=": "or", "^=": "xor", "<<=": "sll", ">>=": "sra",
-		}[s.Op]
-		g.emit(op, "t0", "t0", "t1")
+		g.emit(asm.Mv, rT1, rT0)
+		g.pop(isa.T0) // current value
+		g.emit(arithOp(s.Op[:len(s.Op)-1]), rT0, rT0, rT1)
 	} else {
 		if err := g.genExpr(s.RHS); err != nil {
 			return err
 		}
 	}
-	g.pop("t1") // destination address
-	g.storeTo(s.LHS.TypeOf(), "t1")
+	g.pop(isa.T1) // destination address
+	g.storeTo(s.LHS.TypeOf(), isa.T1)
 	return nil
 }
 
+// arithOp returns the mnemonic of a MiniC arithmetic operator.
+func arithOp(op string) asm.Mnemonic {
+	switch op {
+	case "+":
+		return opAdd
+	case "-":
+		return opSub
+	case "*":
+		return opMul
+	case "/":
+		return opDiv
+	case "%":
+		return opRem
+	case "&":
+		return opAnd
+	case "|":
+		return opOr
+	case "^":
+		return opXor
+	case "<<":
+		return opSll
+	case ">>":
+		return opSra
+	}
+	return 0
+}
+
 // storeTo writes t0 through the address in reg with the width of t.
-func (g *codegen) storeTo(t *Type, reg string) {
-	g.emit("sd", "t0", "0("+reg+")")
+func (g *codegen) storeTo(t *Type, reg isa.Reg) {
+	g.emit(opSd, rT0, asm.Mem(0, reg))
 	_ = t // all MiniC scalars are 8 bytes
 }
 
@@ -363,9 +434,9 @@ func (g *codegen) genAddr(e Expr) error {
 	case *Ident:
 		switch e.Kind {
 		case IdentLocal, IdentParam:
-			g.emit("addi", "t0", "s0", itoa(-(e.Offset + 16)))
+			g.emit(opAddi, rT0, rS0, asm.Imm(-(e.Offset + 16)))
 		case IdentGlobal:
-			g.emit("la", "t0", "g_"+e.Name)
+			g.emit(asm.La, rT0, asm.Sym("g_"+e.Name))
 		default:
 			return errf(e.Line, "cannot take address of function %s here", e.Name)
 		}
@@ -398,8 +469,8 @@ func (g *codegen) genAddr(e Expr) error {
 			size = g.sizeOf(xt.Elem)
 		}
 		g.scaleT0(size)
-		g.pop("t1")
-		g.emit("add", "t0", "t1", "t0")
+		g.pop(isa.T1)
+		g.emit(opAdd, rT0, rT1, rT0)
 		return nil
 
 	case *Member:
@@ -414,7 +485,7 @@ func (g *codegen) genAddr(e Expr) error {
 			}
 		}
 		if e.Off != 0 {
-			g.emit("addi", "t0", "t0", itoa(e.Off))
+			g.emit(opAddi, rT0, rT0, asm.Imm(e.Off))
 		}
 		return nil
 	}
@@ -426,14 +497,14 @@ func (g *codegen) scaleT0(size int64) {
 	switch size {
 	case 1:
 	case 8:
-		g.emit("slli", "t0", "t0", "3")
+		g.emit(opSlli, rT0, rT0, asm.Imm(3))
 	case 2:
-		g.emit("slli", "t0", "t0", "1")
+		g.emit(opSlli, rT0, rT0, asm.Imm(1))
 	case 4:
-		g.emit("slli", "t0", "t0", "2")
+		g.emit(opSlli, rT0, rT0, asm.Imm(2))
 	default:
-		g.emit("li", "t1", itoa(size))
-		g.emit("mul", "t0", "t0", "t1")
+		g.emit(asm.Li, rT1, asm.Imm(size))
+		g.emit(opMul, rT0, rT0, rT1)
 	}
 }
 
@@ -441,31 +512,31 @@ func (g *codegen) scaleT0(size int64) {
 func (g *codegen) genExpr(e Expr) error {
 	switch e := e.(type) {
 	case *IntLit:
-		g.emit("li", "t0", itoa(e.Val))
+		g.emit(asm.Li, rT0, asm.Imm(e.Val))
 		return nil
 
 	case *StrLit:
-		g.emit("la", "t0", g.strLabel(e.Val))
+		g.emit(asm.La, rT0, g.strLabel(e.Val))
 		return nil
 
 	case *NullLit:
-		g.emit("li", "t0", "0")
+		g.emit(asm.Li, rT0, asm.Imm(0))
 		return nil
 
 	case *SizeofExpr:
-		g.emit("li", "t0", itoa(e.Size))
+		g.emit(asm.Li, rT0, asm.Imm(e.Size))
 		return nil
 
 	case *Ident:
 		if e.Kind == IdentFunc {
 			// Function address materialization — the sensitive pattern
 			// the ICall pass rewrites (Listing 2 in the paper).
-			ln := g.emit("la", "t0", e.Func.Mangled)
+			ln := g.emit(asm.La, rT0, asm.Sym(e.Func.Mangled))
 			ln.Meta = &Meta{
 				Kind: MetaFPtrMaterialize,
 				Func: e.Func.Mangled,
 				Sig:  e.Func.Sig(),
-				Reg:  "t0",
+				Reg:  isa.T0,
 			}
 			return nil
 		}
@@ -475,15 +546,15 @@ func (g *codegen) genExpr(e Expr) error {
 		if err := g.genAddr(e); err != nil {
 			return err
 		}
-		g.emit("ld", "t0", "0(t0)")
+		g.emit(opLd, rT0, asm.Mem(0, isa.T0))
 		return nil
 
 	case *Unary:
 		switch e.Op {
 		case "&":
 			if id, ok := e.X.(*Ident); ok && id.Kind == IdentFunc {
-				ln := g.emit("la", "t0", id.Func.Mangled)
-				ln.Meta = &Meta{Kind: MetaFPtrMaterialize, Func: id.Func.Mangled, Sig: id.Func.Sig(), Reg: "t0"}
+				ln := g.emit(asm.La, rT0, asm.Sym(id.Func.Mangled))
+				ln.Meta = &Meta{Kind: MetaFPtrMaterialize, Func: id.Func.Mangled, Sig: id.Func.Sig(), Reg: isa.T0}
 				return nil
 			}
 			return g.genAddr(e.X)
@@ -491,25 +562,25 @@ func (g *codegen) genExpr(e Expr) error {
 			if err := g.genExpr(e.X); err != nil {
 				return err
 			}
-			g.emit("ld", "t0", "0(t0)")
+			g.emit(opLd, rT0, asm.Mem(0, isa.T0))
 			return nil
 		case "-":
 			if err := g.genExpr(e.X); err != nil {
 				return err
 			}
-			g.emit("neg", "t0", "t0")
+			g.emit(asm.Neg, rT0, rT0)
 			return nil
 		case "~":
 			if err := g.genExpr(e.X); err != nil {
 				return err
 			}
-			g.emit("not", "t0", "t0")
+			g.emit(asm.Not, rT0, rT0)
 			return nil
 		case "!":
 			if err := g.genExpr(e.X); err != nil {
 				return err
 			}
-			g.emit("seqz", "t0", "t0")
+			g.emit(asm.Seqz, rT0, rT0)
 			return nil
 		}
 		return errf(e.Line, "bad unary %s", e.Op)
@@ -525,7 +596,7 @@ func (g *codegen) genExpr(e Expr) error {
 		// address (like arrays); scalars load through it.
 		t := e.(Expr).TypeOf()
 		if t.Kind != TypeStruct && t.Kind != TypeClass && t.Kind != TypeArray {
-			g.emit("ld", "t0", "0(t0)")
+			g.emit(opLd, rT0, asm.Mem(0, isa.T0))
 		}
 		return nil
 
@@ -536,16 +607,16 @@ func (g *codegen) genExpr(e Expr) error {
 			}
 			g.scaleT0(e.AllocSize)
 		} else {
-			g.emit("li", "t0", itoa(e.AllocSize))
+			g.emit(asm.Li, rT0, asm.Imm(e.AllocSize))
 		}
-		g.emit("mv", "a0", "t0")
-		g.emit("call", "__malloc")
+		g.emit(asm.Mv, rA0, rT0)
+		g.emit(asm.Call, asm.Sym("__malloc"))
 		if e.AllocType.Kind == TypeClass && !e.IsArray {
 			// Install the vptr (object construction).
-			g.emit("la", "t1", "__vt_"+e.TypeName)
-			g.emit("sd", "t1", "0(a0)")
+			g.emit(asm.La, rT1, asm.Sym("__vt_"+e.TypeName))
+			g.emit(opSd, rT1, asm.Mem(0, isa.A0))
 		}
-		g.emit("mv", "t0", "a0")
+		g.emit(asm.Mv, rT0, rA0)
 		return nil
 
 	case *Call:
@@ -561,16 +632,16 @@ func (g *codegen) genBinary(e *Binary) error {
 		if err := g.genExpr(e.X); err != nil {
 			return err
 		}
-		g.emit("snez", "t0", "t0")
+		g.emit(asm.Snez, rT0, rT0)
 		if e.Op == "&&" {
-			g.emit("beqz", "t0", done)
+			g.emit(asm.Beqz, rT0, done)
 		} else {
-			g.emit("bnez", "t0", done)
+			g.emit(asm.Bnez, rT0, done)
 		}
 		if err := g.genExpr(e.Y); err != nil {
 			return err
 		}
-		g.emit("snez", "t0", "t0")
+		g.emit(asm.Snez, rT0, rT0)
 		g.label(done)
 		return nil
 	}
@@ -589,49 +660,48 @@ func (g *codegen) genBinary(e *Binary) error {
 		g.scaleT0(g.sizeOf(xt.Elem))
 	}
 
-	g.emit("mv", "t1", "t0")
-	g.pop("t0")
+	g.emit(asm.Mv, rT1, rT0)
+	g.pop(isa.T0)
 	switch e.Op {
-	case "+":
-		g.emit("add", "t0", "t0", "t1")
-	case "-":
-		g.emit("sub", "t0", "t0", "t1")
-	case "*":
-		g.emit("mul", "t0", "t0", "t1")
-	case "/":
-		g.emit("div", "t0", "t0", "t1")
-	case "%":
-		g.emit("rem", "t0", "t0", "t1")
-	case "&":
-		g.emit("and", "t0", "t0", "t1")
-	case "|":
-		g.emit("or", "t0", "t0", "t1")
-	case "^":
-		g.emit("xor", "t0", "t0", "t1")
-	case "<<":
-		g.emit("sll", "t0", "t0", "t1")
-	case ">>":
-		g.emit("sra", "t0", "t0", "t1")
 	case "==":
-		g.emit("sub", "t0", "t0", "t1")
-		g.emit("seqz", "t0", "t0")
+		g.emit(opSub, rT0, rT0, rT1)
+		g.emit(asm.Seqz, rT0, rT0)
 	case "!=":
-		g.emit("sub", "t0", "t0", "t1")
-		g.emit("snez", "t0", "t0")
+		g.emit(opSub, rT0, rT0, rT1)
+		g.emit(asm.Snez, rT0, rT0)
 	case "<":
-		g.emit("slt", "t0", "t0", "t1")
+		g.emit(opSlt, rT0, rT0, rT1)
 	case ">":
-		g.emit("slt", "t0", "t1", "t0")
+		g.emit(opSlt, rT0, rT1, rT0)
 	case "<=":
-		g.emit("slt", "t0", "t1", "t0")
-		g.emit("xori", "t0", "t0", "1")
+		g.emit(opSlt, rT0, rT1, rT0)
+		g.emit(opXori, rT0, rT0, asm.Imm(1))
 	case ">=":
-		g.emit("slt", "t0", "t0", "t1")
-		g.emit("xori", "t0", "t0", "1")
+		g.emit(opSlt, rT0, rT0, rT1)
+		g.emit(opXori, rT0, rT0, asm.Imm(1))
 	default:
-		return errf(e.Line, "bad binary operator %s", e.Op)
+		op := arithOp(e.Op)
+		if op == 0 {
+			return errf(e.Line, "bad binary operator %s", e.Op)
+		}
+		g.emit(op, rT0, rT0, rT1)
 	}
 	return nil
+}
+
+// builtinSym returns the runtime routine behind a builtin.
+func builtinSym(name string) string {
+	switch name {
+	case "print_int":
+		return "__print_int"
+	case "print_str":
+		return "__print_str"
+	case "exit":
+		return "__exit"
+	case "attack_point":
+		return "__attack_point"
+	}
+	return ""
 }
 
 // genCall evaluates arguments onto the stack, moves them into a-regs,
@@ -642,15 +712,10 @@ func (g *codegen) genCall(e *Call) error {
 			if err := g.genExpr(e.Args[0]); err != nil {
 				return err
 			}
-			g.emit("mv", "a0", "t0")
+			g.emit(asm.Mv, rA0, rT0)
 		}
-		g.emit("call", map[string]string{
-			"print_int":    "__print_int",
-			"print_str":    "__print_str",
-			"exit":         "__exit",
-			"attack_point": "__attack_point",
-		}[e.Builtin])
-		g.emit("mv", "t0", "a0")
+		g.emit(asm.Call, asm.Sym(builtinSym(e.Builtin)))
+		g.emit(asm.Mv, rT0, rA0)
 		return nil
 	}
 
@@ -675,23 +740,23 @@ func (g *codegen) genCall(e *Call) error {
 			g.push()
 		}
 		for i := len(e.Args) - 1; i >= 0; i-- {
-			g.pop(fmt.Sprintf("a%d", i+1))
+			g.pop(isa.A1 + isa.Reg(i))
 		}
-		g.pop("a0") // this
+		g.pop(isa.A0) // this
 
 		// Register choice: when the argument registers leave a4/a5 free
 		// (receiver + up to 3 args), the vtable sequence uses them so
 		// that a rewritten ld.ro is eligible for the compressed c.ld.ro
 		// encoding (the RVC register set is x8..x15); otherwise fall
 		// back to t0/t1.
-		base, target := "t0", "t1"
+		base, target := isa.T0, isa.T1
 		if len(e.Args) <= 3 {
-			base, target = "a5", "a4"
+			base, target = isa.A5, isa.A4
 		}
 		// vptr load (the object is writable memory: a plain ld).
-		g.emit("ld", base, "0(a0)").Comment = "vptr"
+		g.emit(opLd, asm.R(base), asm.Mem(0, isa.A0)).Comment = "vptr"
 		// vtable slot load — the sensitive load (ROLoad-md metadata).
-		ln := g.emit("ld", target, itoa(int64(e.Slot)*8)+"("+base+")")
+		ln := g.emit(opLd, asm.R(target), asm.Mem(int64(e.Slot)*8, base))
 		ln.Meta = &Meta{
 			Kind:  MetaVTableLoad,
 			Class: e.Class,
@@ -701,9 +766,9 @@ func (g *codegen) genCall(e *Call) error {
 			Sig:   e.FType.Sig(),
 		}
 		ln.Comment = "vtable slot " + itoa(int64(e.Slot))
-		jump := g.emit("jalr", target)
+		jump := g.emit(opJalr, asm.R(target))
 		jump.Meta = &Meta{Kind: MetaVCallJump, Class: e.Class, Slot: e.Slot, Reg: target, Sig: e.FType.Sig()}
-		g.emit("mv", "t0", "a0")
+		g.emit(asm.Mv, rT0, rA0)
 		return nil
 	}
 
@@ -716,10 +781,10 @@ func (g *codegen) genCall(e *Call) error {
 			g.push()
 		}
 		for i := len(e.Args) - 1; i >= 0; i-- {
-			g.pop(fmt.Sprintf("a%d", i))
+			g.pop(isa.A0 + isa.Reg(i))
 		}
-		g.emit("call", e.Direct.Mangled)
-		g.emit("mv", "t0", "a0")
+		g.emit(asm.Call, asm.Sym(e.Direct.Mangled))
+		g.emit(asm.Mv, rT0, rA0)
 		return nil
 	}
 
@@ -735,11 +800,11 @@ func (g *codegen) genCall(e *Call) error {
 		g.push()
 	}
 	for i := len(e.Args) - 1; i >= 0; i-- {
-		g.pop(fmt.Sprintf("a%d", i))
+		g.pop(isa.A0 + isa.Reg(i))
 	}
-	g.pop("t0")
-	jump := g.emit("jalr", "t0")
-	jump.Meta = &Meta{Kind: MetaICallJump, Reg: "t0", Sig: e.FType.Sig()}
-	g.emit("mv", "t0", "a0")
+	g.pop(isa.T0)
+	jump := g.emit(opJalr, rT0)
+	jump.Meta = &Meta{Kind: MetaICallJump, Reg: isa.T0, Sig: e.FType.Sig()}
+	g.emit(asm.Mv, rT0, rA0)
 	return nil
 }

@@ -22,8 +22,22 @@ import (
 	"fmt"
 	"sort"
 
+	"roload/internal/asm"
 	"roload/internal/cc"
 	"roload/internal/isa"
+)
+
+// The mnemonics of the ISA instructions the passes insert.
+const (
+	opAddi   = asm.Mnemonic(isa.ADDI)
+	opBgeu   = asm.Mnemonic(isa.BGEU)
+	opBltu   = asm.Mnemonic(isa.BLTU)
+	opBne    = asm.Mnemonic(isa.BNE)
+	opJalr   = asm.Mnemonic(isa.JALR)
+	opLdRO   = asm.Mnemonic(isa.LDRO)
+	opLui    = asm.Mnemonic(isa.LUI)
+	opLwu    = asm.Mnemonic(isa.LWU)
+	opEbreak = asm.Mnemonic(isa.EBREAK)
 )
 
 // Pass transforms a compiled Unit in place.
@@ -43,15 +57,43 @@ func Apply(u *cc.Unit, passes ...Pass) error {
 	return nil
 }
 
-// rewrite runs fn over every function's lines, replacing each line
-// with the returned slice.
-func rewrite(u *cc.Unit, fn func(l cc.Line) []cc.Line) {
+// rewrite replaces, in every function, each line that match accepts
+// with the lines expand appends for it to out. A function's lines are
+// copied only once it has a line to rewrite.
+func rewrite(u *cc.Unit, match func(l *cc.Line) bool, expand func(out []cc.Line, l *cc.Line) []cc.Line) {
 	for _, f := range u.Funcs {
-		out := make([]cc.Line, 0, len(f.Lines))
-		for _, l := range f.Lines {
-			out = append(out, fn(l)...)
+		var out []cc.Line
+		for i := range f.Lines {
+			l := &f.Lines[i]
+			switch {
+			case match(l):
+				if out == nil {
+					out = append(make([]cc.Line, 0, len(f.Lines)+len(f.Lines)/4+8), f.Lines[:i]...)
+				}
+				out = expand(out, l)
+			case out != nil:
+				out = append(out, *l)
+			}
 		}
-		f.Lines = out
+		if out != nil {
+			f.Lines = out
+		}
+	}
+}
+
+// tagged returns a match for rewrite that accepts lines carrying
+// metadata of one of the kinds.
+func tagged(kinds ...cc.MetaKind) func(l *cc.Line) bool {
+	return func(l *cc.Line) bool {
+		if l.Meta == nil {
+			return false
+		}
+		for _, k := range kinds {
+			if l.Meta.Kind == k {
+				return true
+			}
+		}
+		return false
 	}
 }
 
@@ -98,34 +140,31 @@ func (vcallPass) Apply(u *cc.Unit) error {
 	// ld.ro rd, (rs), key. The extra addi mirrors the paper's remark
 	// that ld.ro carries no offset immediate.
 	var err error
-	rewrite(u, func(l cc.Line) []cc.Line {
-		if l.Meta == nil || l.Meta.Kind != cc.MetaVTableLoad || err != nil {
-			return []cc.Line{l}
+	rewrite(u, tagged(cc.MetaVTableLoad), func(out []cc.Line, l *cc.Line) []cc.Line {
+		if err != nil {
+			return append(out, *l)
 		}
 		key, kerr := hierarchyKey(u, l.Meta.Class)
 		if kerr != nil {
 			err = kerr
-			return []cc.Line{l}
+			return append(out, *l)
 		}
-		return roLoadSeq(l, key)
+		return roLoadSeq(out, l, key)
 	})
 	return err
 }
 
-// roLoadSeq rewrites a tagged "ld rd, off(rs)" line into the ld.ro
-// form, preserving the metadata on the ld.ro itself.
-func roLoadSeq(l cc.Line, key uint16) []cc.Line {
-	rd := l.Args[0]
-	rs := l.Meta.Reg
-	var out []cc.Line
+// roLoadSeq appends the ld.ro form of a tagged "ld rd, off(rs)" line,
+// preserving the metadata on the ld.ro itself.
+func roLoadSeq(out []cc.Line, l *cc.Line, key uint16) []cc.Line {
+	rs := asm.R(l.Meta.Reg)
 	if l.Meta.Off != 0 {
-		out = append(out, cc.I("addi", rs, rs, fmt.Sprintf("%d", l.Meta.Off)))
+		out = append(out, cc.I(opAddi, rs, rs, asm.Imm(l.Meta.Off)))
 	}
-	ro := cc.I("ld.ro", rd, "("+rs+")", fmt.Sprintf("%d", key))
+	ro := cc.I(opLdRO, l.Args[0], asm.Ind(l.Meta.Reg), asm.Key(key))
 	ro.Meta = l.Meta
 	ro.Comment = l.Comment
-	out = append(out, ro)
-	return out
+	return append(out, ro)
 }
 
 // --- ICall -----------------------------------------------------------
@@ -202,34 +241,30 @@ func (icallPass) Apply(u *cc.Unit) error {
 		u.VTables[i].Key = cc.VTUnifiedKey
 	}
 
-	rewrite(u, func(l cc.Line) []cc.Line {
-		if l.Meta == nil {
-			return []cc.Line{l}
-		}
+	match := tagged(cc.MetaVTableLoad, cc.MetaFPtrMaterialize, cc.MetaICallJump)
+	rewrite(u, match, func(out []cc.Line, l *cc.Line) []cc.Line {
 		switch l.Meta.Kind {
 		case cc.MetaVTableLoad:
-			return roLoadSeq(l, cc.VTUnifiedKey)
+			return roLoadSeq(out, l, cc.VTUnifiedKey)
 		case cc.MetaFPtrMaterialize:
 			// la rd, f  ->  la rd, __gfpt_f   (Listing 2 of the paper)
-			nl := cc.I("la", l.Args[0], GFPTSymbol(l.Meta.Func))
+			nl := cc.I(asm.La, l.Args[0], asm.Sym(GFPTSymbol(l.Meta.Func)))
 			nl.Meta = l.Meta
 			nl.Comment = "gfpt entry for " + l.Meta.Func
-			return []cc.Line{nl}
-		case cc.MetaICallJump:
-			// Insert the protected load of the real target before the
-			// jump (Listing 3, lines 2 and 5).
-			key := keys[l.Meta.Sig]
-			if key == 0 {
-				// No address-taken function has this signature; the
-				// call can never be valid. Trap deterministically.
-				return []cc.Line{cc.I("ebreak"), l}
-			}
-			ro := cc.I("ld.ro", l.Meta.Reg, "("+l.Meta.Reg+")", fmt.Sprintf("%d", key))
-			ro.Meta = &cc.Meta{Kind: cc.MetaICallJump, Sig: l.Meta.Sig, Reg: l.Meta.Reg}
-			ro.Comment = "icall target via gfpt"
-			return []cc.Line{ro, l}
+			return append(out, nl)
 		}
-		return []cc.Line{l}
+		// MetaICallJump: insert the protected load of the real target
+		// before the jump (Listing 3, lines 2 and 5).
+		key := keys[l.Meta.Sig]
+		if key == 0 {
+			// No address-taken function has this signature; the call
+			// can never be valid. Trap deterministically.
+			return append(out, cc.I(opEbreak), *l)
+		}
+		ro := cc.I(opLdRO, asm.R(l.Meta.Reg), asm.Ind(l.Meta.Reg), asm.Key(key))
+		ro.Meta = &cc.Meta{Kind: cc.MetaICallJump, Sig: l.Meta.Sig, Reg: l.Meta.Reg}
+		ro.Comment = "icall target via gfpt"
+		return append(out, ro, *l)
 	})
 	return nil
 }
@@ -247,27 +282,21 @@ func (vtintPass) Name() string { return "VTint" }
 
 func (vtintPass) Apply(u *cc.Unit) error {
 	used := false
-	n := 0
-	rewrite(u, func(l cc.Line) []cc.Line {
-		if l.Meta == nil || l.Meta.Kind != cc.MetaVTableLoad {
-			return []cc.Line{l}
-		}
+	t2, fail := asm.R(isa.T2), asm.Sym("__vtint_fail")
+	rewrite(u, tagged(cc.MetaVTableLoad), func(out []cc.Line, l *cc.Line) []cc.Line {
 		used = true
-		n++
-		reg := l.Meta.Reg
+		reg := asm.R(l.Meta.Reg)
 		// la expands to 2 instructions; the whole check adds 6.
-		return []cc.Line{
-			cc.I("la", "t2", "__ro_start"),
-			cc.I("bltu", reg, "t2", "__vtint_fail"),
-			cc.I("la", "t2", "__ro_end"),
-			cc.I("bgeu", reg, "t2", "__vtint_fail"),
-			l,
-		}
+		return append(out,
+			cc.I(asm.La, t2, asm.Sym("__ro_start")),
+			cc.I(opBltu, reg, t2, fail),
+			cc.I(asm.La, t2, asm.Sym("__ro_end")),
+			cc.I(opBgeu, reg, t2, fail),
+			*l,
+		)
 	})
 	if used {
-		fail := &cc.MFunc{Name: "__vtint_fail"}
-		fail.Lines = []cc.Line{cc.I("ebreak")}
-		u.Funcs = append(u.Funcs, fail)
+		u.Funcs = append(u.Funcs, &cc.MFunc{Name: fail.Sym, Lines: []cc.Line{cc.I(opEbreak)}})
 	}
 	return nil
 }
@@ -301,36 +330,26 @@ func (cfiPass) Apply(u *cc.Unit) error {
 	// Prepend the ID nop to every function that can be an indirect
 	// target (every MiniC function: address-taken sets are a static
 	// under-approximation the classic solutions did not rely on).
+	id := cc.I(opLui, asm.R(isa.Zero), asm.Hex(CFIID))
+	id.Comment = "CFI ID (nop)"
 	for _, f := range u.Funcs {
-		f.Lines = append([]cc.Line{func() cc.Line {
-			l := cc.I("lui", "zero", fmt.Sprintf("%#x", CFIID))
-			l.Comment = "CFI ID (nop)"
-			return l
-		}()}, f.Lines...)
+		f.Lines = append(append(make([]cc.Line, 0, len(f.Lines)+1), id), f.Lines...)
 	}
 
-	rewrite(u, func(l cc.Line) []cc.Line {
-		if l.Meta == nil {
-			return []cc.Line{l}
-		}
-		if l.Meta.Kind != cc.MetaICallJump && l.Meta.Kind != cc.MetaVCallJump {
-			return []cc.Line{l}
-		}
+	t2, t3, fail := asm.R(isa.T2), asm.R(isa.T3), asm.Sym("__cfi_fail")
+	rewrite(u, tagged(cc.MetaICallJump, cc.MetaVCallJump), func(out []cc.Line, l *cc.Line) []cc.Line {
 		used = true
-		reg := l.Meta.Reg
 		// lw from the target (text pages are readable), compare with
 		// the expected ID word, trap on mismatch.
-		return []cc.Line{
-			cc.I("lwu", "t2", "0("+reg+")"),
-			cc.I("li", "t3", fmt.Sprintf("%#x", idWord)),
-			cc.I("bne", "t2", "t3", "__cfi_fail"),
-			l,
-		}
+		return append(out,
+			cc.I(opLwu, t2, asm.Mem(0, l.Meta.Reg)),
+			cc.I(asm.Li, t3, asm.Hex(int64(idWord))),
+			cc.I(opBne, t2, t3, fail),
+			*l,
+		)
 	})
 	if used {
-		fail := &cc.MFunc{Name: "__cfi_fail"}
-		fail.Lines = []cc.Line{cc.I("ebreak")}
-		u.Funcs = append(u.Funcs, fail)
+		u.Funcs = append(u.Funcs, &cc.MFunc{Name: fail.Sym, Lines: []cc.Line{cc.I(opEbreak)}})
 	}
 	return nil
 }

@@ -226,7 +226,7 @@ func TestICallRedirectsMaterializations(t *testing.T) {
 	// be gone from instruction operands ("la tX, inc").
 	for _, f := range unit.Funcs {
 		for _, l := range f.Lines {
-			if l.Op == "la" && len(l.Args) == 2 && l.Args[1] == "inc" {
+			if l.Op == asm.La && l.N == 2 && l.Args[1] == asm.Sym("inc") {
 				t.Error("raw la of address-taken function survived the pass")
 			}
 		}
@@ -285,7 +285,7 @@ func countInsts(u *cc.Unit) int {
 	n := 0
 	for _, f := range u.Funcs {
 		for _, l := range f.Lines {
-			if l.Op != "" {
+			if l.Label == "" {
 				n++
 			}
 		}

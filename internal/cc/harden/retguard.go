@@ -1,9 +1,11 @@
 package harden
 
 import (
-	"fmt"
+	"strconv"
 
+	"roload/internal/asm"
 	"roload/internal/cc"
+	"roload/internal/isa"
 )
 
 // RetGuard implements the backward-edge application sketched in the
@@ -46,48 +48,34 @@ const RetKey = 900
 func (retGuardPass) Apply(u *cc.Unit) error {
 	siteN := 0
 	var sites []cc.Line // keyed table entries
+	ra, t6 := asm.R(isa.RA), asm.R(isa.T6)
 
-	convertCall := func(target string) []cc.Line {
+	// site appends "la ra, __retsite_N", then jump, then the return
+	// label __retret_N that the new table entry names.
+	site := func(out []cc.Line, jump cc.Line) []cc.Line {
 		siteN++
-		entry := fmt.Sprintf("__retsite_%d", siteN)
-		back := fmt.Sprintf("__retret_%d", siteN)
-		sites = append(sites, cc.L(entry), cc.I(".quad", back))
-		return []cc.Line{
-			cc.I("la", "ra", entry),
-			cc.I("j", target),
-			cc.L(back),
-		}
+		n := strconv.Itoa(siteN)
+		entry, back := "__retsite_"+n, "__retret_"+n
+		sites = append(sites, cc.L(entry), cc.I(asm.Quad, asm.Sym(back)))
+		return append(out, cc.I(asm.La, ra, asm.Sym(entry)), jump, cc.L(back))
 	}
-	convertIndirect := func(l cc.Line, reg string) []cc.Line {
-		siteN++
-		entry := fmt.Sprintf("__retsite_%d", siteN)
-		back := fmt.Sprintf("__retret_%d", siteN)
-		sites = append(sites, cc.L(entry), cc.I(".quad", back))
-		jump := cc.I("jr", reg)
+
+	match := func(l *cc.Line) bool {
+		return l.Op == asm.Call && l.N == 1 || l.Op == asm.Ret || l.Op == opJalr && l.N == 1
+	}
+	rewrite(u, match, func(out []cc.Line, l *cc.Line) []cc.Line {
+		switch l.Op {
+		case asm.Call:
+			return site(out, cc.I(asm.J, l.Args[0]))
+		case asm.Ret:
+			ro := cc.I(opLdRO, t6, asm.Ind(isa.RA), asm.Key(RetKey))
+			ro.Comment = "return site via keyed table"
+			return append(out, ro, cc.I(asm.Jr, t6))
+		}
+		// jalr rs (rd=ra implicitly): an indirect or virtual call.
+		jump := cc.I(asm.Jr, l.Args[0])
 		jump.Meta = l.Meta
-		return []cc.Line{
-			cc.I("la", "ra", entry),
-			jump,
-			cc.L(back),
-		}
-	}
-	retSeq := func() []cc.Line {
-		ro := cc.I("ld.ro", "t6", "(ra)", fmt.Sprintf("%d", RetKey))
-		ro.Comment = "return site via keyed table"
-		return []cc.Line{ro, cc.I("jr", "t6")}
-	}
-
-	rewrite(u, func(l cc.Line) []cc.Line {
-		switch {
-		case l.Op == "call" && len(l.Args) == 1:
-			return convertCall(l.Args[0])
-		case l.Op == "ret":
-			return retSeq()
-		case l.Op == "jalr" && len(l.Args) == 1:
-			// jalr rs (rd=ra implicitly): an indirect or virtual call.
-			return convertIndirect(l, l.Args[0])
-		}
-		return []cc.Line{l}
+		return site(out, jump)
 	})
 
 	u.RetGuard = &cc.RetGuardInfo{

@@ -79,7 +79,7 @@ func TestRetGuardEmitsKeyedSites(t *testing.T) {
 	// No raw "call" or "ret" may survive in user functions.
 	for _, f := range unit.Funcs {
 		for _, l := range f.Lines {
-			if l.Op == "call" || l.Op == "ret" {
+			if l.Op == asm.Call || l.Op == asm.Ret {
 				t.Errorf("%s: unconverted %s", f.Name, l.Op)
 			}
 		}

@@ -21,11 +21,23 @@ var punctuation = []string{
 	"(", ")", "{", "}", "[", "]", ",", ";", ".", ":",
 }
 
+// punctByFirst holds, for each byte, the punctuation that starts with
+// it, longest first.
+var punctByFirst = func() (t [256][]string) {
+	for _, p := range punctuation {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
+
 // Lex tokenizes src.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1}
+	// MiniC averages a token per three bytes of source.
+	l := &lexer{src: src, line: 1, toks: make([]Token, 0, len(src)/3+16)}
 	for {
-		l.skipSpace()
+		if err := l.skipSpace(); err != nil {
+			return nil, err
+		}
 		if l.pos >= len(l.src) {
 			l.toks = append(l.toks, Token{Kind: TokEOF, Line: l.line})
 			return l.toks, nil
@@ -102,7 +114,7 @@ func Lex(src string) ([]Token, error) {
 			l.pos = end + 1
 		default:
 			matched := false
-			for _, p := range punctuation {
+			for _, p := range punctByFirst[c] {
 				if strings.HasPrefix(l.src[l.pos:], p) {
 					l.toks = append(l.toks, Token{Kind: TokPunct, Text: p, Line: l.line})
 					l.pos += len(p)
@@ -117,7 +129,8 @@ func Lex(src string) ([]Token, error) {
 	}
 }
 
-func (l *lexer) skipSpace() {
+// skipSpace skips blanks and comments. A block comment must be closed.
+func (l *lexer) skipSpace() error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -131,18 +144,19 @@ func (l *lexer) skipSpace() {
 				l.pos++
 			}
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			l.pos += 2
-			for l.pos+1 < len(l.src) && !(l.src[l.pos] == '*' && l.src[l.pos+1] == '/') {
-				if l.src[l.pos] == '\n' {
-					l.line++
-				}
-				l.pos++
+			open := l.line
+			end := strings.Index(l.src[l.pos+2:], "*/")
+			if end < 0 {
+				return errf(open, "unterminated comment")
 			}
-			l.pos += 2
+			end += l.pos + 2
+			l.line += strings.Count(l.src[l.pos:end], "\n")
+			l.pos = end + 2
 		default:
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 func isLetter(c byte) bool {

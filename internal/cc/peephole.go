@@ -1,6 +1,6 @@
 package cc
 
-import "strconv"
+import "roload/internal/asm"
 
 // Optimize runs the peephole optimizer over every function. The
 // stack-machine code generator is deliberately naive (uniform code
@@ -16,53 +16,53 @@ import "strconv"
 // Windows never cross labels (branch targets must stay stable) or
 // lines carrying metadata.
 func Optimize(u *Unit) {
-	total := 0
 	for _, f := range u.Funcs {
-		f.Lines, total = peephole(f.Lines), total+1
+		f.Lines = peephole(f.Lines)
 	}
-	_ = total
 	u.HardenedBy = append(u.HardenedBy, "peephole")
 }
 
-func isOp(l Line, op string, args ...string) bool {
-	if l.Label != "" || l.Op != op || len(l.Args) != len(args) {
+// anyArg matches any operand in isOp.
+var anyArg asm.Arg
+
+// isOp reports whether l is an untagged instruction op with the given
+// operands, anyArg matching any.
+func isOp(l *Line, op asm.Mnemonic, args ...asm.Arg) bool {
+	if l.Label != "" || l.Op != op || int(l.N) != len(args) || l.Meta != nil {
 		return false
 	}
 	for i, a := range args {
-		if a != "*" && l.Args[i] != a {
+		if a != anyArg && l.Args[i] != a {
 			return false
 		}
 	}
-	return l.Meta == nil
+	return true
 }
 
 func peephole(lines []Line) []Line {
 	out := make([]Line, 0, len(lines))
 	for i := 0; i < len(lines); i++ {
+		l := &lines[i]
 		// Window: push t0 / pop R.
 		if i+3 < len(lines) &&
-			isOp(lines[i], "addi", "sp", "sp", "-8") &&
-			isOp(lines[i+1], "sd", "t0", "0(sp)") &&
-			isOp(lines[i+2], "ld", "*", "0(sp)") &&
-			isOp(lines[i+3], "addi", "sp", "sp", "8") {
-			dst := lines[i+2].Args[0]
-			if dst != "t0" {
-				out = append(out, I("mv", dst, "t0"))
+			isOp(l, opAddi, rSP, rSP, asm.Imm(-8)) &&
+			isOp(&lines[i+1], opSd, rT0, mem0SP) &&
+			isOp(&lines[i+2], opLd, anyArg, mem0SP) &&
+			isOp(&lines[i+3], opAddi, rSP, rSP, asm.Imm(8)) {
+			if dst := lines[i+2].Args[0]; dst != rT0 {
+				out = append(out, I(asm.Mv, dst, rT0))
 			}
 			i += 3
 			continue
 		}
 		// mv x, x and addi x, x, 0 are no-ops.
-		if isOp(lines[i], "mv", "*", "*") && lines[i].Args[0] == lines[i].Args[1] {
+		if isOp(l, asm.Mv, anyArg, anyArg) && l.Args[0] == l.Args[1] {
 			continue
 		}
-		if lines[i].Label == "" && lines[i].Op == "addi" && lines[i].Meta == nil &&
-			len(lines[i].Args) == 3 && lines[i].Args[0] == lines[i].Args[1] {
-			if v, err := strconv.Atoi(lines[i].Args[2]); err == nil && v == 0 {
-				continue
-			}
+		if isOp(l, opAddi, anyArg, anyArg, asm.Imm(0)) && l.Args[0] == l.Args[1] {
+			continue
 		}
-		out = append(out, lines[i])
+		out = append(out, *l)
 	}
 	return out
 }

@@ -25,7 +25,7 @@ func instCount(u *Unit) int {
 	n := 0
 	for _, f := range u.Funcs {
 		for _, l := range f.Lines {
-			if l.Op != "" {
+			if l.Label == "" {
 				n++
 			}
 		}
@@ -100,12 +100,12 @@ func TestOptimizeKeepsLabels(t *testing.T) {
 	u := &Unit{Funcs: []*MFunc{{
 		Name: "f",
 		Lines: []Line{
-			I("addi", "sp", "sp", "-8"),
-			I("sd", "t0", "0(sp)"),
+			I(opAddi, rSP, rSP, asm.Imm(-8)),
+			I(opSd, rT0, mem0SP),
 			L(".Lx"), // label inside the window: must block the rewrite
-			I("ld", "a0", "0(sp)"),
-			I("addi", "sp", "sp", "8"),
-			I("ret"),
+			I(opLd, rA0, mem0SP),
+			I(opAddi, rSP, rSP, asm.Imm(8)),
+			I(asm.Ret),
 		},
 	}}}
 	Optimize(u)

@@ -1,9 +1,11 @@
 package cc
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
+
+	"roload/internal/asm"
+	"roload/internal/isa"
 )
 
 // MetaKind classifies the sensitive-operation metadata the code
@@ -31,66 +33,43 @@ const (
 // Meta carries the details hardening passes need.
 type Meta struct {
 	Kind  MetaKind
-	Class string // static receiver class (vtable ops)
-	Slot  int    // vtable slot index
-	Func  string // mangled function name (fptr materialization)
-	Sig   string // canonical function type signature
-	Reg   string // register holding the pointer/target
-	Off   int64  // byte offset within the table (vtable loads)
+	Class string  // static receiver class (vtable ops)
+	Slot  int     // vtable slot index
+	Func  string  // mangled function name (fptr materialization)
+	Sig   string  // canonical function type signature
+	Reg   isa.Reg // register holding the pointer/target
+	Off   int64   // byte offset within the table (vtable loads)
 }
 
-// Line is one line of generated machine code: either a label
-// definition or an instruction/directive with operands.
+// Line is one line of generated machine code: a typed assembler
+// statement (a label definition, or a mnemonic with typed operands)
+// plus the compiler's metadata and a display comment.
 type Line struct {
-	Label   string
-	Op      string
-	Args    []string
+	asm.Line
 	Meta    *Meta
 	Comment string
 }
 
-// I builds an instruction line.
-func I(op string, args ...string) Line { return Line{Op: op, Args: args} }
-
-// L builds a label line.
-func L(label string) Line { return Line{Label: label} }
-
-func (l Line) render(b *strings.Builder) {
-	if l.Label != "" {
-		b.WriteString(l.Label)
-		b.WriteString(":\n")
-		return
-	}
-	b.WriteString("\t")
-	b.WriteString(l.Op)
-	for i, a := range l.Args {
-		if i == 0 {
-			b.WriteString(" ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(a)
-	}
-	if l.Comment != "" {
-		b.WriteString("\t# ")
-		b.WriteString(l.Comment)
-	}
-	b.WriteString("\n")
+// I builds an instruction line of at most three operands.
+func I(op asm.Mnemonic, args ...asm.Arg) Line {
+	l := Line{Line: asm.Line{Op: op}}
+	l.N = uint8(copy(l.Args[:], args))
+	return l
 }
 
-// renderedLen is the number of bytes render writes for l.
-func (l Line) renderedLen() int {
-	if l.Label != "" {
-		return len(l.Label) + 2
+// L builds a label line.
+func L(label string) Line { return Line{Line: asm.Line{Label: label}} }
+
+// appendText appends l as one line of assembly text.
+func (l *Line) appendText(b []byte) []byte {
+	if l.Label == "" {
+		b = append(b, '\t')
 	}
-	n := 1 + len(l.Op) + 1
-	for _, a := range l.Args {
-		n += 2 + len(a) // " " or ", " before each argument
-	}
+	b = l.Line.Append(b)
 	if l.Comment != "" {
-		n += 3 + len(l.Comment)
+		b = append(append(b, "\t# "...), l.Comment...)
 	}
-	return n
+	return append(b, '\n')
 }
 
 // MFunc is one compiled function.
@@ -171,112 +150,210 @@ const (
 )
 
 // Assembly renders the unit as one assembler source file, appending
-// the fixed runtime (entry point, allocator, output routines).
+// the fixed runtime (entry point, allocator, output routines). It is
+// for display: building links the typed statements of Lines, which
+// assemble to the same image as this text.
 func (u *Unit) Assembly() string {
-	var b strings.Builder
-	b.Grow(u.assemblyLen())
-	b.WriteString("# generated by the roload MiniC compiler\n")
-	b.WriteString("\t.text\n")
+	b := make([]byte, 0, u.assemblyLen())
+	b = append(b, "# generated by the roload MiniC compiler\n\t.text\n"...)
 	for _, f := range u.Funcs {
-		b.WriteString("\n")
-		L(f.Name).render(&b)
-		for _, l := range f.Lines {
-			l.render(&b)
+		b = append(append(append(b, '\n'), f.Name...), ":\n"...)
+		for i := range f.Lines {
+			b = f.Lines[i].appendText(b)
 		}
 	}
 	if u.RetGuard != nil {
-		b.WriteString(runtimeAsmRetGuard)
+		b = append(b, runtimeAsmRetGuard...)
 	} else {
-		b.WriteString(runtimeAsm)
+		b = append(b, runtimeAsm...)
 	}
 
 	// Plain read-only data. __ro_start/__ro_end bound every read-only
 	// page (used by the VTint baseline's range checks).
-	b.WriteString("\n\t.rodata\n")
-	b.WriteString("__ro_start:\n")
-	for _, l := range u.RoData {
-		l.render(&b)
+	b = append(b, "\n\t.rodata\n__ro_start:\n"...)
+	for i := range u.RoData {
+		b = u.RoData[i].appendText(b)
 	}
-	for _, vt := range u.VTables {
-		if vt.Key != 0 {
-			continue
+	appendTable := func(b []byte, symbol string, slots []string) []byte {
+		b = append(append(b, symbol...), ":\n"...)
+		for _, m := range slots {
+			b = append(append(append(b, "\t.quad "...), m...), '\n')
 		}
-		L(vt.Symbol).render(&b)
-		for _, m := range vt.Slots {
-			I(".quad", m).render(&b)
-		}
+		return b
 	}
-	b.WriteString("__ro_pad: .quad 0\n")
-	b.WriteString("__ro_end:\n")
-
-	// Keyed sections: vtables moved by VCall/ICall, GFPT entries.
-	type keyed struct {
-		key   uint16
-		lines []Line
-	}
-	byKey := map[uint16][]Line{}
 	for _, vt := range u.VTables {
 		if vt.Key == 0 {
-			continue
+			b = appendTable(b, vt.Symbol, vt.Slots)
 		}
-		lines := []Line{L(vt.Symbol)}
-		for _, m := range vt.Slots {
-			lines = append(lines, I(".quad", m))
+	}
+	b = append(b, "__ro_pad: .quad 0\n__ro_end:\n"...)
+
+	// Keyed sections: vtables moved by VCall/ICall, GFPT entries, and
+	// the RetGuard return-site table.
+	for _, k := range u.keys() {
+		b = append(b, "\n\t.section .rodata.key."...)
+		b = append(strconv.AppendUint(b, uint64(k), 10), '\n')
+		for _, vt := range u.VTables {
+			if vt.Key == k {
+				b = appendTable(b, vt.Symbol, vt.Slots)
+			}
 		}
-		byKey[vt.Key] = append(byKey[vt.Key], lines...)
-	}
-	for _, g := range u.GFPTs {
-		byKey[g.Key] = append(byKey[g.Key], L(g.Symbol), I(".quad", g.Target))
-	}
-	if u.RetGuard != nil {
-		byKey[u.RetGuard.Key] = append(byKey[u.RetGuard.Key], u.RetGuard.Sites...)
-	}
-	keys := make([]int, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "\n\t.section .rodata.key.%d\n", k)
-		for _, l := range byKey[uint16(k)] {
-			l.render(&b)
+		for _, g := range u.GFPTs {
+			if g.Key == k {
+				b = appendTable(b, g.Symbol, []string{g.Target})
+			}
+		}
+		if u.RetGuard != nil && u.RetGuard.Key == k {
+			for i := range u.RetGuard.Sites {
+				b = u.RetGuard.Sites[i].appendText(b)
+			}
 		}
 	}
 
 	if len(u.Data) > 0 {
-		b.WriteString("\n\t.data\n")
-		for _, l := range u.Data {
-			l.render(&b)
+		b = append(b, "\n\t.data\n"...)
+		for i := range u.Data {
+			b = u.Data[i].appendText(b)
 		}
 	}
 	if len(u.Bss) > 0 {
-		b.WriteString("\n\t.bss\n")
-		for _, l := range u.Bss {
-			l.render(&b)
+		b = append(b, "\n\t.bss\n"...)
+		for i := range u.Bss {
+			b = u.Bss[i].appendText(b)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
-// assemblyLen bounds the length of Assembly's output closely enough to
-// size its buffer once: it sums the rendered lines and allows for the
-// fixed text and the section headers.
+// keys returns the keys of the unit's keyed sections in ascending order.
+func (u *Unit) keys() []uint16 {
+	var keys []uint16
+	add := func(k uint16) {
+		for _, have := range keys {
+			if have == k {
+				return
+			}
+		}
+		keys = append(keys, k)
+	}
+	for _, vt := range u.VTables {
+		if vt.Key != 0 {
+			add(vt.Key)
+		}
+	}
+	for _, g := range u.GFPTs {
+		add(g.Key)
+	}
+	if u.RetGuard != nil {
+		add(u.RetGuard.Key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// Lines hands the unit's statements to emit in the order Assembly
+// prints them, runtime included: the typed program asm.AssembleLines
+// links. emit must not keep the pointer.
+func (u *Unit) Lines(emit func(*asm.Line)) {
+	var tmp asm.Line
+	sect := func(name string) {
+		tmp = asm.Line{Op: asm.Sect, N: 1, Args: [3]asm.Arg{asm.Sym(name)}}
+		emit(&tmp)
+	}
+	label := func(name string) {
+		tmp = asm.Line{Label: name}
+		emit(&tmp)
+	}
+	quad := func(a asm.Arg) {
+		tmp = asm.Line{Op: asm.Quad, N: 1, Args: [3]asm.Arg{a}}
+		emit(&tmp)
+	}
+	lines := func(ls []Line) {
+		for i := range ls {
+			emit(&ls[i].Line)
+		}
+	}
+	table := func(symbol string, slots []string) {
+		label(symbol)
+		for _, m := range slots {
+			quad(asm.Sym(m))
+		}
+	}
+
+	sect(".text")
+	for _, f := range u.Funcs {
+		label(f.Name)
+		lines(f.Lines)
+	}
+	rt := runtimeLines
+	if u.RetGuard != nil {
+		rt = runtimeLinesRetGuard
+	}
+	for i := range rt {
+		emit(&rt[i])
+	}
+
+	sect(".rodata")
+	label("__ro_start")
+	lines(u.RoData)
+	for _, vt := range u.VTables {
+		if vt.Key == 0 {
+			table(vt.Symbol, vt.Slots)
+		}
+	}
+	label("__ro_pad")
+	quad(asm.Imm(0))
+	label("__ro_end")
+
+	for _, k := range u.keys() {
+		sect(".rodata.key." + strconv.Itoa(int(k)))
+		for _, vt := range u.VTables {
+			if vt.Key == k {
+				table(vt.Symbol, vt.Slots)
+			}
+		}
+		for _, g := range u.GFPTs {
+			if g.Key == k {
+				label(g.Symbol)
+				quad(asm.Sym(g.Target))
+			}
+		}
+		if u.RetGuard != nil && u.RetGuard.Key == k {
+			lines(u.RetGuard.Sites)
+		}
+	}
+
+	if len(u.Data) > 0 {
+		sect(".data")
+		lines(u.Data)
+	}
+	if len(u.Bss) > 0 {
+		sect(".bss")
+		lines(u.Bss)
+	}
+}
+
+// assemblyLen estimates the length of Assembly's output, to size its
+// buffer once in the common case: the fixed text, and per line its
+// names and a typical width for everything else.
 func (u *Unit) assemblyLen() int {
-	n := 512 + len(runtimeAsmRetGuard)
-	if len(runtimeAsm) > len(runtimeAsmRetGuard) {
-		n = 512 + len(runtimeAsm)
+	n := 512 + max(len(runtimeAsm), len(runtimeAsmRetGuard))
+	lines := func(ls []Line) {
+		for i := range ls {
+			l := &ls[i]
+			n += 16 + len(l.Label) + len(l.Comment)
+			for _, a := range l.Args[:l.N] {
+				n += len(a.Sym)
+			}
+		}
 	}
 	for _, f := range u.Funcs {
-		n += 1 + len(f.Name) + 2
-		for _, l := range f.Lines {
-			n += l.renderedLen()
-		}
+		n += 3 + len(f.Name)
+		lines(f.Lines)
 	}
-	for _, lines := range [][]Line{u.RoData, u.Data, u.Bss} {
-		for _, l := range lines {
-			n += l.renderedLen()
-		}
-	}
+	lines(u.RoData)
+	lines(u.Data)
+	lines(u.Bss)
 	for _, vt := range u.VTables {
 		n += len(vt.Symbol) + 2
 		for _, m := range vt.Slots {
@@ -287,9 +364,7 @@ func (u *Unit) assemblyLen() int {
 		n += len(g.Symbol) + 2 + len(g.Target) + len("\t.quad \n") + len("\n\t.section .rodata.key.65535\n")
 	}
 	if u.RetGuard != nil {
-		for _, l := range u.RetGuard.Sites {
-			n += l.renderedLen()
-		}
+		lines(u.RetGuard.Sites)
 	}
 	return n
 }
@@ -298,8 +373,8 @@ func (u *Unit) assemblyLen() int {
 func (u *Unit) CountMeta(kind MetaKind) int {
 	n := 0
 	for _, f := range u.Funcs {
-		for _, l := range f.Lines {
-			if l.Meta != nil && l.Meta.Kind == kind {
+		for i := range f.Lines {
+			if l := &f.Lines[i]; l.Meta != nil && l.Meta.Kind == kind {
 				n++
 			}
 		}
@@ -420,6 +495,21 @@ __ps_write:
 __heap_cur: .quad 0
 __heap_end: .quad 0
 `
+
+// runtimeLines and runtimeLinesRetGuard are the runtimes as typed
+// statements, lexed once from the text Assembly prints.
+var (
+	runtimeLines         = mustParseLines(runtimeAsm)
+	runtimeLinesRetGuard = mustParseLines(runtimeAsmRetGuard)
+)
+
+func mustParseLines(src string) []asm.Line {
+	lines, err := asm.ParseLines(src)
+	if err != nil {
+		panic("cc: runtime: " + err.Error())
+	}
+	return lines
+}
 
 // runtimeAsmRetGuard is the runtime variant used when the RetGuard
 // backward-edge pass is active: every runtime call site materializes

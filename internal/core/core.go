@@ -129,18 +129,50 @@ func (h Hardening) NeedsROLoad() bool {
 // assembles the result. The returned Unit is the post-pass machine
 // program (useful for inspection); the Image is ready for Spawn.
 func Build(src string, h Hardening) (*asm.Image, *cc.Unit, error) {
-	unit, err := cc.Compile(src)
+	return BuildWith(src, CompileOptions{Harden: h})
+}
+
+// BuildWith is Build with the optimizer and RVC compression of opts
+// (Dump does not apply). It is the one compile-and-link path: the
+// assembler links the unit's typed statements, with no assembly text
+// in between.
+func BuildWith(src string, opts CompileOptions) (*asm.Image, *cc.Unit, error) {
+	unit, err := compileUnit(src, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := harden.Apply(unit, h.Passes()...); err != nil {
-		return nil, nil, err
-	}
-	img, err := asm.Assemble(unit.Assembly(), asm.DefaultOptions())
+	img, err := link(unit, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: assembling hardened program: %w", err)
+		return nil, nil, err
 	}
 	return img, unit, nil
+}
+
+// compileUnit compiles, optimizes if asked, and hardens.
+func compileUnit(src string, opts CompileOptions) (*cc.Unit, error) {
+	unit, err := cc.Compile(src)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Optimize {
+		cc.Optimize(unit)
+	}
+	if err := harden.Apply(unit, opts.Harden.Passes()...); err != nil {
+		return nil, err
+	}
+	return unit, nil
+}
+
+// link assembles a compiled unit. The compiler's output failing to
+// assemble is an internal error.
+func link(unit *cc.Unit, opts CompileOptions) (*asm.Image, error) {
+	aopts := asm.DefaultOptions()
+	aopts.Compress = opts.Compress
+	img, err := asm.AssembleLines(unit.Lines, aopts)
+	if err != nil {
+		return nil, fmt.Errorf("core: assembling hardened program: %w", err)
+	}
+	return img, nil
 }
 
 // RunOptions is the single options path of the execution API,
@@ -362,7 +394,7 @@ func MeasureImage(ctx context.Context, img *asm.Image, h Hardening, sys SystemKi
 	}, nil
 }
 
-// CompileOptions parameterizes CompileText.
+// CompileOptions parameterizes CompileText and BuildWith.
 type CompileOptions struct {
 	// Harden selects the hardening scheme applied after compilation.
 	Harden Hardening
@@ -380,23 +412,14 @@ type CompileOptions struct {
 // CLI and the HTTP service share this path, which is what makes their
 // outputs byte-identical for the same input.
 func CompileText(src string, opts CompileOptions) (string, error) {
-	unit, err := cc.Compile(src)
+	unit, err := compileUnit(src, opts)
 	if err != nil {
 		return "", err
 	}
-	if opts.Optimize {
-		cc.Optimize(unit)
-	}
-	if err := harden.Apply(unit, opts.Harden.Passes()...); err != nil {
-		return "", err
-	}
-	text := unit.Assembly()
 	if !opts.Dump {
-		return text, nil
+		return unit.Assembly(), nil
 	}
-	aopts := asm.DefaultOptions()
-	aopts.Compress = opts.Compress
-	img, err := asm.Assemble(text, aopts)
+	img, err := link(unit, opts)
 	if err != nil {
 		return "", err
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"roload/internal/asm"
 	"roload/internal/cc"
 	"roload/internal/cc/harden"
 	"roload/internal/kernel"
+	"roload/internal/spec"
 )
 
 const prog = `
@@ -181,4 +183,35 @@ func measure(src string, h Hardening) (Measurement, error) {
 		return Measurement{}, err
 	}
 	return MeasureImage(context.Background(), img, h, SysFull, RunOptions{MaxSteps: 10_000_000})
+}
+
+// The goldens pin unoptimized builds only. Optimized builds (the
+// service's optimize requests, roload-run -optimize) must link the
+// same image from the unit's typed statements as from its assembly
+// text, under every scheme, with and without RVC compression.
+func TestOptimizedLinkMatchesText(t *testing.T) {
+	for _, w := range spec.Workloads() {
+		for _, h := range []Hardening{HardenNone, HardenVCall, HardenVTint, HardenICall, HardenCFI, HardenRetGuard, HardenFull} {
+			for _, compress := range []bool{false, true} {
+				opts := CompileOptions{Harden: h, Optimize: true, Compress: compress}
+				unit, err := compileUnit(w.SourceFor(1), opts)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", w.Name, h, err)
+				}
+				typed, err := link(unit, opts)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", w.Name, h, err)
+				}
+				aopts := asm.DefaultOptions()
+				aopts.Compress = compress
+				text, err := asm.Assemble(unit.Assembly(), aopts)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", w.Name, h, err)
+				}
+				if !reflect.DeepEqual(typed, text) {
+					t.Errorf("%s/%v compress=%v: typed and text links differ", w.Name, h, compress)
+				}
+			}
+		}
+	}
 }

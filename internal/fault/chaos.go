@@ -8,8 +8,6 @@ import (
 	"strings"
 
 	"roload/internal/asm"
-	"roload/internal/cc"
-	"roload/internal/cc/harden"
 	"roload/internal/core"
 	"roload/internal/isa"
 	"roload/internal/kernel"
@@ -190,16 +188,9 @@ type Report struct {
 // runs it once fault-free to collect the reference observables, the
 // attack-point retire count, and the loaded image.
 func buildVictim(w *Workload, h core.Hardening) (*asm.Image, error) {
-	unit, err := cc.Compile(w.Victim)
+	img, _, err := core.Build(w.Victim, h)
 	if err != nil {
-		return nil, fmt.Errorf("fault: compiling %s: %w", w.Name, err)
-	}
-	if err := harden.Apply(unit, h.Passes()...); err != nil {
-		return nil, err
-	}
-	img, err := asm.Assemble(unit.Assembly(), asm.DefaultOptions())
-	if err != nil {
-		return nil, fmt.Errorf("fault: assembling %s: %w", w.Name, err)
+		return nil, fmt.Errorf("fault: building %s: %w", w.Name, err)
 	}
 	return img, nil
 }

@@ -213,10 +213,7 @@ func (s *Server) buildImage(spec runSpec) (img *asm.Image, compiled bool, apiErr
 	case req.Optimize:
 		// The optimizer changes the unit in place, so optimized builds
 		// bypass the shared cache (which is keyed on source alone).
-		text, err := core.CompileText(req.Source, core.CompileOptions{Harden: spec.h, Optimize: true})
-		if err == nil {
-			img, err = asm.Assemble(text, asm.DefaultOptions())
-		}
+		img, _, err := core.BuildWith(req.Source, core.CompileOptions{Harden: spec.h, Optimize: true})
 		if err != nil {
 			return nil, false, compileError(err)
 		}

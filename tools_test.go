@@ -376,8 +376,9 @@ func TestPerfModuleBuilds(t *testing.T) {
 	}
 }
 
-// TestMicroBenchmarksRun runs every micro-benchmark of the assembler,
-// the simulator's hot packages and the served execution path once. go test ./... compiles
+// TestMicroBenchmarksRun runs every micro-benchmark of the compiler,
+// the assembler, the simulator's hot packages and the served build and
+// execution paths once. go test ./... compiles
 // benchmarks but never executes their bodies, so a benchmark whose
 // setup breaks would otherwise go unnoticed until someone measures.
 func TestMicroBenchmarksRun(t *testing.T) {
@@ -385,13 +386,15 @@ func TestMicroBenchmarksRun(t *testing.T) {
 		t.Skip("spawns toolchain")
 	}
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x",
-		"./internal/asm", "./internal/isa", "./internal/cpu", "./internal/cache", "./internal/mmu", "./internal/core")
+		"./internal/asm", "./internal/isa", "./internal/cpu", "./internal/cache", "./internal/mmu", "./internal/core",
+		"./internal/cc")
 	cmd.Env = os.Environ()
 	msg, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("go test -bench: %v\n%s", err, msg)
 	}
-	for _, want := range []string{"BenchmarkAssembleSpec", "BenchmarkRegByName", "BenchmarkRunWithLiveContext"} {
+	for _, want := range []string{"BenchmarkAssembleSpec", "BenchmarkRegByName", "BenchmarkRunWithLiveContext",
+		"BenchmarkBuild", "BenchmarkCompile"} {
 		if !strings.Contains(string(msg), want) {
 			t.Errorf("benchmark %s did not run:\n%s", want, msg)
 		}
